@@ -3,8 +3,8 @@
 Subcommands: losscheck, gradcheck, train-teacher, distill, landscape, bench.
 Each run resolves its configuration from built-in defaults, then an optional
 JSON config file (unknown keys are rejected), then command-line flags, and
-echoes the fully-resolved result to ``<out>/config.json`` so any run can be
-reproduced exactly from its own artifacts.
+validates it.  Only a valid configuration is echoed to ``<out>/config.json``,
+so any run can be reproduced exactly from its own artifacts.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 verification
 failure, 4 training failure, 5 I/O error.
@@ -215,6 +215,29 @@ def _dataset_from(doc: dict):
         raise ConfigError(f"invalid dataset config: {exc}") from exc
 
 
+def _convert(convert, value, name: str):
+    """``convert(value)``; a value of the wrong type is a config error."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        kind = "an integer" if convert is int else "a number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}") from exc
+
+
+def _count(value, name: str, minimum: int) -> int:
+    n = _convert(int, value, name)
+    if n < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {n}")
+    return n
+
+
+def _seed(value) -> int:
+    seed = _convert(int, value, "seed")
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed must fit in an unsigned 64-bit integer")
+    return seed
+
+
 # ---------------------------------------------------------------------------
 # losscheck
 
@@ -234,15 +257,19 @@ def _naive_weighted_ranking_loss(s, t, y, weights=None, tau_T=1.0):
     return total
 
 
-def cmd_losscheck(config: dict, out_dir: str) -> int:
-    rng = make_rng(config["seed"])
-    instances = int(config["instances"])
-    max_c = int(config["oracle_max_classes"])
-    if instances < 1:
-        raise ConfigError("instances must be positive")
+def _losscheck_args(config: dict) -> dict:
+    max_c = _convert(int, config["oracle_max_classes"], "oracle_max_classes")
     if not 2 <= max_c <= 8:
         raise ConfigError("oracle_max_classes must lie in [2, 8]")
+    return {
+        "seed": _seed(config["seed"]),
+        "instances": _count(config["instances"], "instances", 1),
+        "max_c": max_c,
+    }
 
+
+def cmd_losscheck(out_dir: str, seed: int, instances: int, max_c: int) -> int:
+    rng = make_rng(seed)
     checks = []  # (name, worst, tolerance)
 
     worst_ce = worst_uni = worst_pl = worst_eq = 0.0
@@ -346,30 +373,46 @@ def _gradcheck_variants(config: dict):
             yield kind, default_loss_config(kind)
 
 
-def cmd_gradcheck(config: dict, out_dir: str) -> int:
-    step = float(config["step"])
+def _gradcheck_args(config: dict) -> dict:
+    step = _convert(float, config["step"], "step")
     if not step > 0:
         raise ConfigError("step must be positive")
-    floor = float(config["floor"])
-    if floor < 0:
+    floor = _convert(float, config["floor"], "floor")
+    if not floor >= 0:
         raise ConfigError("floor must be nonnegative")
-    trials = int(config["trials"])
-    if trials < 1:
-        raise ConfigError("trials must be positive")
-    threshold = float(config["threshold"])
-    sizes = [
-        (int(n), int(c))
-        for c in config["class_counts"]
-        for n in config["batch_sizes"]
-    ]
+    try:
+        sizes = [
+            (int(n), int(c))
+            for c in config["class_counts"]
+            for n in config["batch_sizes"]
+        ]
+        variants = list(_gradcheck_variants(config))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid gradcheck config: {exc}") from exc
     if not sizes:
         raise ConfigError("class_counts and batch_sizes must be nonempty")
-    rng = make_rng(config["seed"])
+    if min(c for _, c in sizes) < 2 or min(n for n, _ in sizes) < 1:
+        raise ConfigError("class_counts must be at least 2 and batch_sizes at least 1")
+    return {
+        "seed": _seed(config["seed"]),
+        "step": step,
+        "floor": floor,
+        "trials": _count(config["trials"], "trials", 1),
+        "threshold": _convert(float, config["threshold"], "threshold"),
+        "sizes": sizes,
+        "variants": variants,
+    }
 
+
+def cmd_gradcheck(
+    out_dir: str, seed: int, step: float, floor: float, trials: int,
+    threshold: float, sizes: list, variants: list,
+) -> int:
+    rng = make_rng(seed)
     dist_row_only = default_loss_config("dist", dist_gamma=0.0)
     rows = []
     worst_overall = 0.0
-    for label, loss_cfg in _gradcheck_variants(config):
+    for label, loss_cfg in variants:
         worst = {}
         for trial in range(trials):
             n, c = sizes[trial % len(sizes)]
@@ -404,60 +447,68 @@ def cmd_gradcheck(config: dict, out_dir: str) -> int:
 # training commands
 
 
-def cmd_train_teacher(config: dict, out_dir: str) -> int:
+def _training_args(config: dict) -> dict:
     dataset = _dataset_from(config["dataset"])
-    opt_cfg = _optimizer_config(config["optimizer"])
-    model, records = train_teacher(
-        dataset,
-        config["layer_sizes"],
-        opt_cfg=opt_cfg,
-        epochs=int(config["epochs"]),
-        seed=int(config["seed"]),
-        batch_size=int(config["batch_size"]),
-    )
+    sizes = config["layer_sizes"]
+    if not isinstance(sizes, list):
+        raise ConfigError(f"layer_sizes must be a list of integers, got {sizes!r}")
+    sizes = [_convert(int, s, "layer_sizes entry") for s in sizes]
+    if len(sizes) < 2 or min(sizes) < 1:
+        raise ConfigError(f"invalid layer sizes {sizes}")
+    if sizes[0] != dataset.dim or sizes[-1] != dataset.n_classes:
+        raise ConfigError(
+            f"layer_sizes {sizes} must start at the data dim {dataset.dim} "
+            f"and end at the {dataset.n_classes} classes"
+        )
+    return {
+        "dataset": dataset,
+        "layer_sizes": sizes,
+        "opt_cfg": _optimizer_config(config["optimizer"]),
+        "epochs": _count(config["epochs"], "epochs", 1),
+        "seed": _seed(config["seed"]),
+        "batch_size": _count(config["batch_size"], "batch_size", 1),
+    }
+
+
+def cmd_train_teacher(out_dir: str, **training) -> int:
+    model, records = train_teacher(**training)
     atomic_write_text(
         os.path.join(out_dir, "teacher.json"), json.dumps(model_to_dict(model))
     )
     atomic_write_text(os.path.join(out_dir, "metrics.csv"), metrics_to_csv(records))
-    final = records[-1].test_top1 if records else float("nan")
-    print(f"teacher trained: {len(records)} epochs, final test top-1 {final:.4f}")
+    print(f"teacher trained: {len(records)} epochs, final test top-1 {records[-1].test_top1:.4f}")
     return EXIT_OK
 
 
-def cmd_distill(config: dict, out_dir: str) -> int:
+def _distill_args(config: dict) -> dict:
     teacher_path = config["teacher"]
     if not isinstance(teacher_path, str) or not teacher_path:
         raise ConfigError("'teacher' must be a path to a teacher model file")
+    return {
+        "teacher_path": teacher_path,
+        "loss_cfg": _loss_config(config["loss"]),
+        **_training_args(config),
+    }
+
+
+def cmd_distill(out_dir: str, teacher_path: str, loss_cfg, **training) -> int:
     try:
         teacher = load_model(teacher_path)
     except OSError:
         raise
     except ValueError as exc:
         raise ConfigError(f"invalid teacher model: {exc}") from exc
-    dataset = _dataset_from(config["dataset"])
-    loss_cfg = _loss_config(config["loss"])
-    opt_cfg = _optimizer_config(config["optimizer"])
     try:
-        run = distill_student(
-            dataset,
-            teacher,
-            config["layer_sizes"],
-            loss_cfg,
-            opt_cfg=opt_cfg,
-            epochs=int(config["epochs"]),
-            seed=int(config["seed"]),
-            batch_size=int(config["batch_size"]),
-        )
+        run = distill_student(teacher=teacher, loss_cfg=loss_cfg, **training)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     atomic_write_text(
         os.path.join(out_dir, "student.json"), json.dumps(model_to_dict(run.model))
     )
     atomic_write_text(os.path.join(out_dir, "metrics.csv"), metrics_to_csv(run.records))
-    final = run.records[-1].test_top1 if run.records else float("nan")
     print(
         f"student distilled with loss={loss_cfg.kind}: {len(run.records)} epochs, "
-        f"final test top-1 {final:.4f}"
+        f"final test top-1 {run.records[-1].test_top1:.4f}"
     )
     return EXIT_OK
 
@@ -466,7 +517,7 @@ def cmd_distill(config: dict, out_dir: str) -> int:
 # landscape and bench
 
 
-def cmd_landscape(config: dict, out_dir: str) -> int:
+def _landscape_args(config: dict) -> dict:
     try:
         spec = SliceSpec(
             n_classes=int(config["n_classes"]),
@@ -474,10 +525,14 @@ def cmd_landscape(config: dict, out_dir: str) -> int:
             span=float(config["span"]),
             temperatures=tuple(float(t) for t in config["temperatures"]),
             loss_kinds=tuple(config["loss_kinds"]),
-            seed=int(config["seed"]),
+            seed=_seed(config["seed"]),
         ).validate()
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid slice spec: {exc}") from exc
+    return {"spec": spec}
+
+
+def cmd_landscape(out_dir: str, spec: SliceSpec) -> int:
     grid = make_slice(spec)
     atomic_write_text(os.path.join(out_dir, "landscape.csv"), slice_to_csv(grid))
     points = spec.resolution**2 * len(spec.loss_kinds) * len(spec.temperatures)
@@ -485,15 +540,22 @@ def cmd_landscape(config: dict, out_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_bench(config: dict, out_dir: str) -> int:
+def _bench_args(config: dict) -> dict:
     try:
-        results = bench_losses(
-            sizes=[(int(n), int(c)) for n, c in config["sizes"]],
-            kinds=tuple(config["kinds"]),
-            trials=int(config["trials"]),
-            warmup=int(config["warmup"]),
-            seed=int(config["seed"]),
-        )
+        return {
+            "sizes": [(int(n), int(c)) for n, c in config["sizes"]],
+            "kinds": tuple(config["kinds"]),
+            "trials": int(config["trials"]),
+            "warmup": int(config["warmup"]),
+            "seed": _seed(config["seed"]),
+        }
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid bench config: {exc}") from exc
+
+
+def cmd_bench(out_dir: str, **bench) -> int:
+    try:
+        results = bench_losses(**bench)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     atomic_write_text(os.path.join(out_dir, "bench.csv"), bench_to_csv(results))
@@ -511,13 +573,17 @@ def cmd_bench(config: dict, out_dir: str) -> int:
 # entry point
 
 
+# command -> (argument step, run step).  The argument step turns the resolved
+# config into validated keyword arguments and raises ConfigError before
+# anything is written; the run step takes the output directory and those
+# arguments.
 _COMMANDS = {
-    "losscheck": cmd_losscheck,
-    "gradcheck": cmd_gradcheck,
-    "train-teacher": cmd_train_teacher,
-    "distill": cmd_distill,
-    "landscape": cmd_landscape,
-    "bench": cmd_bench,
+    "losscheck": (_losscheck_args, cmd_losscheck),
+    "gradcheck": (_gradcheck_args, cmd_gradcheck),
+    "train-teacher": (_training_args, cmd_train_teacher),
+    "distill": (_distill_args, cmd_distill),
+    "landscape": (_landscape_args, cmd_landscape),
+    "bench": (_bench_args, cmd_bench),
 }
 
 
@@ -539,10 +605,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _resolve_config(args.command, args)
+        command_args, run = _COMMANDS[args.command]
+        kwargs = command_args(config)
         out_dir = args.out
         os.makedirs(out_dir, exist_ok=True)
         _echo_config(args.command, config, out_dir)
-        return _COMMANDS[args.command](config, out_dir)
+        return run(out_dir, **kwargs)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,6 +9,11 @@ teacher-optimal ranking exactly the descending sort of t.
 Conventions for the baselines on the slice: kd and dist are evaluated as
 pure distillation terms (no cross-entropy mix), and dist treats each grid
 point as a batch of one row, so only its inter-class term is active.
+
+Every loss on the slice is row-separable, so a whole (loss, temperature)
+grid is one batched kernel call with one row per grid point; each value is
+bit for bit the loss of that point evaluated on its own.  The convexity
+probe likewise evaluates all of its points in one call.
 """
 
 from __future__ import annotations
@@ -105,19 +110,24 @@ def _draw_directions(rng: np.random.Generator, v: int):
     return t, d1, d2
 
 
-def point_loss(kind: str, s: np.ndarray, t: np.ndarray, y: int, temperature: float) -> float:
-    """One loss value at a single point of the slice."""
-    s2 = s[None, :]
-    t2 = t[None, :]
-    labels = [int(y)]
+def point_loss(kind: str, s: np.ndarray, t: np.ndarray, y: int, temperature: float) -> np.ndarray:
+    """Loss values at a stack of slice points, one point per row of ``s``.
+
+    ``s`` is R x C (a single point of shape (C,) counts as R = 1); every row
+    shares the teacher logits ``t`` and label ``y``.  Returns the R per-row
+    losses from one kernel call.
+    """
+    s2 = np.atleast_2d(s)
+    t2 = np.broadcast_to(t, s2.shape)
+    labels = np.full(s2.shape[0], int(y))
     if kind == "pld":
-        return pld_loss(s2, t2, labels, tau_T=temperature).loss
+        return pld_loss(s2, t2, labels, tau_T=temperature).rows
     if kind == "kd":
-        return kd_loss(s2, t2, labels, alpha=0.0, tau=temperature).loss
+        return kd_loss(s2, t2, labels, alpha=0.0, tau=temperature).rows
     if kind == "dist":
-        return dist_loss(s2, t2, labels, alpha=0.0, beta=1.0, gamma=0.0, tau=temperature).loss
+        return dist_loss(s2, t2, labels, alpha=0.0, beta=1.0, gamma=0.0, tau=temperature).rows
     if kind == "ce":
-        return ce_loss(s2, labels).loss
+        return ce_loss(s2, labels).rows
     raise ValueError(f"unsupported slice loss kind {kind!r}")
 
 
@@ -129,15 +139,14 @@ def make_slice(spec: SliceSpec) -> SliceGrid:
     half = spec.span * float(np.linalg.norm(t))  # == span: t has unit norm
     coords = np.linspace(-half, half, spec.resolution)
     y = int(np.argmax(t))
+    # point (i, j) is (t + a_i*d1) + b_j*d2, summed in that order
+    base = t + coords[:, None] * d1
+    points = (base[:, None, :] + (coords[:, None] * d2)[None, :, :]).reshape(-1, t.shape[0])
+    shape = (spec.resolution, spec.resolution)
     values = {}
     for kind in spec.loss_kinds:
         for temp in spec.temperatures:
-            grid = np.empty((spec.resolution, spec.resolution))
-            for i, a in enumerate(coords):
-                base = t + a * d1
-                for j, b in enumerate(coords):
-                    grid[i, j] = point_loss(kind, base + b * d2, t, y, temp)
-            values[(kind, float(temp))] = grid
+            values[(kind, float(temp))] = point_loss(kind, points, t, y, temp).reshape(shape)
     return SliceGrid(
         spec=spec, alphas=coords, betas=coords.copy(),
         anchor=t, d1=d1, d2=d2, label=y, values=values,
@@ -185,18 +194,18 @@ def line_convexity_probe(
     y = int(np.argmax(t))
     half = spec.span
 
-    def at(ab):
-        return point_loss(kind, t + ab[0] * d1 + ab[1] * d2, t, y, temperature)
-
-    violations = 0
-    for _ in range(trials):
-        p = rng.uniform(-half, half, size=2)
-        q = rng.uniform(-half, half, size=2)
-        lam = rng.uniform(0.0, 1.0)
-        mid = at(lam * p + (1.0 - lam) * q)
-        if mid > lam * at(p) + (1.0 - lam) * at(q) + tolerance:
-            violations += 1
-    return violations
+    p = np.empty((trials, 2))
+    q = np.empty((trials, 2))
+    lam = np.empty((trials, 1))
+    for i in range(trials):  # the draw order fixes the trials for a seed
+        p[i] = rng.uniform(-half, half, size=2)
+        q[i] = rng.uniform(-half, half, size=2)
+        lam[i] = rng.uniform(0.0, 1.0)
+    ab = np.concatenate([lam * p + (1.0 - lam) * q, p, q])
+    losses = point_loss(kind, t + ab[:, :1] * d1 + ab[:, 1:] * d2, t, y, temperature)
+    mid, at_p, at_q = losses.reshape(3, trials)
+    lam = lam.ravel()
+    return int((mid > lam * at_p + (1.0 - lam) * at_q + tolerance).sum())
 
 
 def slice_to_csv(grid: SliceGrid) -> str:

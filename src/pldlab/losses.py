@@ -1,8 +1,9 @@
 """Distillation loss kernels with closed-form gradients.
 
 Every public loss takes a batch of student logits (N x C) plus whatever
-targets it needs and returns a `LossResult`: the batch-mean loss and the
-exact gradient with respect to the student logits.  Gradients are what the
+targets it needs and returns a `LossResult`: the batch-mean loss, the
+exact gradient with respect to the student logits and, when rows do not
+interact, the per-row losses whose mean is the loss.  Gradients are what the
 finite-difference checker validates; none of the kernels rely on automatic
 differentiation.
 
@@ -71,10 +72,18 @@ _STD_EPS = 1e-8
 
 @dataclass(frozen=True)
 class LossResult:
-    """Batch-mean loss and its gradient with respect to student logits."""
+    """Batch-mean loss and its gradient with respect to student logits.
+
+    ``rows`` holds the N per-row losses whose mean is ``loss``, each equal
+    bit for bit to the ``loss`` of a one-row call on that row.  It is None
+    when rows are coupled (dist with an intra-class term, gamma > 0), so a
+    row's loss is not defined on its own.  ``loss`` is always the kernel's
+    own reduction, not recomputed from ``rows``.
+    """
 
     loss: float
     grad: np.ndarray
+    rows: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -159,9 +168,10 @@ def ce_loss(s_batch, labels) -> LossResult:
     n, c = s.shape
     y = as_labels(labels, c, n)
     logq = log_softmax(s, axis=-1)
-    loss = float(-logq[np.arange(n), y].mean())
+    picked = logq[np.arange(n), y]
+    loss = float(-picked.mean())
     grad = (np.exp(logq) - _onehot(y, c)) / n
-    return LossResult(loss, grad)
+    return LossResult(loss, grad, -picked)
 
 
 def ls_loss(s_batch, labels, epsilon: float) -> LossResult:
@@ -173,9 +183,10 @@ def ls_loss(s_batch, labels, epsilon: float) -> LossResult:
     y = as_labels(labels, c, n)
     target = (1.0 - epsilon) * _onehot(y, c) + epsilon / c
     logq = log_softmax(s, axis=-1)
-    loss = float(-(target * logq).sum(axis=1).mean())
+    sums = (target * logq).sum(axis=1)
+    loss = float(-sums.mean())
     grad = (np.exp(logq) - target) / n
-    return LossResult(loss, grad)
+    return LossResult(loss, grad, -sums)
 
 
 def kd_loss(
@@ -227,11 +238,12 @@ def kd_loss(
     hard = ce_loss(s, y)
     loss = alpha * hard.loss + (1.0 - alpha) * tau**2 * float(div.mean())
     grad = alpha * hard.grad + (1.0 - alpha) * tau**2 * dgrad / n
-    return LossResult(loss, grad)
+    rows = alpha * hard.rows + (1.0 - alpha) * tau**2 * div
+    return LossResult(loss, grad, rows)
 
 
 def _pearson_terms(x: np.ndarray, ref: np.ndarray, axis: int):
-    """1 - Pearson along ``axis`` plus d(mean residual)/dx.
+    """1 - Pearson along ``axis``: (mean residual, residuals, d(mean)/dx).
 
     The denominator is floored at _PEARSON_EPS so near-constant slices stay
     finite; away from the floor the correlation (and its gradient) is the
@@ -246,10 +258,10 @@ def _pearson_terms(x: np.ndarray, ref: np.ndarray, axis: int):
     denom = np.where(floored, _PEARSON_EPS, base)
     rho = (xc * rc).sum(axis=axis, keepdims=True) / denom
     k = x.shape[1 - axis]  # number of residuals being averaged
-    term = float((1.0 - rho).mean())
+    residuals = (1.0 - rho).ravel()
     a_safe = np.where(floored, 1.0, a)
     dterm = -(rc / denom - np.where(floored, 0.0, rho * xc / a_safe)) / k
-    return term, dterm
+    return float(residuals.mean()), residuals, dterm
 
 
 def dist_loss(
@@ -267,6 +279,8 @@ def dist_loss(
     between each student and teacher probability row) and ``gamma`` the
     intra-class term (the same across the batch for each class column),
     both on probabilities softened by ``tau``; ``alpha`` weights CE.
+    The intra-class term couples the rows, so with ``gamma > 0`` the
+    result carries no per-row losses.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -289,14 +303,17 @@ def dist_loss(
     qt = softmax(t, temperature=tau, axis=-1)
 
     loss = 0.0
+    rows = np.zeros(n)
     dq = np.zeros_like(qs)
     if beta > 0:
-        inter, dinter = _pearson_terms(qs, qt, axis=1)
+        inter, inter_rows, dinter = _pearson_terms(qs, qt, axis=1)
         loss += beta * inter
+        rows += beta * inter_rows
         dq += beta * dinter
     if gamma > 0:
-        intra, dintra = _pearson_terms(qs, qt, axis=0)
+        intra, _, dintra = _pearson_terms(qs, qt, axis=0)
         loss += gamma * intra
+        rows = None  # the intra-class term couples the rows
         dq += gamma * dintra
 
     # pull dL/dq back through the tempered softmax rows
@@ -305,7 +322,9 @@ def dist_loss(
     hard = ce_loss(s, y)
     loss += alpha * hard.loss
     grad = grad + alpha * hard.grad
-    return LossResult(float(loss), grad)
+    if rows is not None:
+        rows += alpha * hard.rows
+    return LossResult(float(loss), grad, rows)
 
 
 def _plistmle_weights(n_classes: int) -> np.ndarray:
@@ -400,27 +419,32 @@ def pld_loss(
     # working set near L2 size roughly halves large-batch wall time.
     rows_per_chunk = max(16, _PLD_CHUNK_ELEMENTS // c)
     grad = np.empty_like(s)
+    rows = np.empty(n)
     total = 0.0
     for lo in range(0, n, rows_per_chunk):
         hi = min(n, lo + rows_per_chunk)
         total += _pld_chunk(
-            s[lo:hi], t[lo:hi], y[lo:hi], tau_T, scheme, grad[lo:hi]
+            s[lo:hi], t[lo:hi], y[lo:hi], tau_T, scheme, grad[lo:hi], rows[lo:hi]
         )
     grad /= n
-    return LossResult(total / n, grad)
+    return LossResult(total / n, grad, rows)
 
 
 _PLD_CHUNK_ELEMENTS = 1 << 15
 
 
-def _pld_chunk(s, t, y, tau_T, scheme, grad_out) -> float:
-    """Loss sum over one chunk of rows; writes the unscaled gradient rows."""
+def _pld_chunk(s, t, y, tau_T, scheme, grad_out, rows_out) -> float:
+    """Loss sum over one chunk of rows; writes the per-row losses and the
+    unscaled gradient rows."""
     asc = ascending_rankings(t, y)
     s_perm = np.take_along_axis(s, asc, axis=1)
     w = _ascending_weights(t, asc, scheme, tau_T)
 
     lc = _log_cumsum_exp_rows(s_perm)
-    loss_sum = float((w * (lc - s_perm)).sum())
+    # flat sum and row sums of one product, so the loss keeps its bits
+    terms = w * (lc - s_perm)
+    loss_sum = float(terms.sum())
+    terms.sum(axis=1, out=rows_out)
 
     # d/ds at sorted position j is exp(s_j) * sum_{m>=j} w_m / Z_m - w_j with
     # Z_m the running normalizer exp(lc_m).  When every lc is moderate the
@@ -502,26 +526,43 @@ def grad_check(loss_fn, s0, h: float = 1e-5, floor: float = 1e-8) -> float:
     the absolute ``floor`` count as exact: central differences carry roundoff
     of order eps*|loss|/h (~1e-11 for unit-scale losses), which would
     otherwise swamp the relative error on near-zero gradient coordinates.
+
+    When the analytic result of an N x C batch carries per-row losses, each
+    loss call shifts one logit column in every row at once; row i of the two
+    shifted calls gives the central difference for coordinate (i, j) as
+    (rows_plus[i] - rows_minus[i]) / (2h) / N.  That takes 2C + 1 calls in
+    place of 2NC + 1.  A result without ``rows`` (coupled rows) gets one
+    pair of calls per coordinate.
     """
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
     if not floor >= 0:
         raise ValueError(f"floor must be nonnegative, got {floor}")
     s0 = np.asarray(s0, dtype=np.float64)
-    analytic = loss_fn(s0).grad
-    worst = 0.0
-    for idx in np.ndindex(*s0.shape):
-        sp = s0.copy()
-        sp[idx] += h
-        sm = s0.copy()
-        sm[idx] -= h
-        fd = (loss_fn(sp).loss - loss_fn(sm).loss) / (2.0 * h)
-        g = float(analytic[idx])
-        diff = abs(fd - g)
-        if diff <= floor:
-            continue
-        worst = max(worst, diff / max(abs(fd), abs(g)))
-    return float(worst)
+    base = loss_fn(s0)
+    analytic = base.grad
+    fd = np.empty_like(s0)
+    if base.rows is not None and s0.ndim == 2:
+        n = s0.shape[0]
+        for j in range(s0.shape[1]):
+            sp = s0.copy()
+            sp[:, j] += h
+            sm = s0.copy()
+            sm[:, j] -= h
+            fd[:, j] = (loss_fn(sp).rows - loss_fn(sm).rows) / (2.0 * h) / n
+    else:
+        for idx in np.ndindex(*s0.shape):
+            sp = s0.copy()
+            sp[idx] += h
+            sm = s0.copy()
+            sm[idx] -= h
+            fd[idx] = (loss_fn(sp).loss - loss_fn(sm).loss) / (2.0 * h)
+    diff = np.abs(fd - analytic)
+    scale = np.maximum(np.abs(fd), np.abs(analytic))
+    above = diff > floor
+    if not above.any():
+        return 0.0
+    return float((diff[above] / scale[above]).max())
 
 
 def student_teacher_kl(s_batch, t_batch) -> float:
@@ -576,5 +617,5 @@ def evaluate_loss(config: DistillLossConfig, s_batch, t_batch, labels) -> LossRe
         res = pld_loss(s_in, t, labels, tau_T=cfg.teacher_temperature, scheme=cfg.pld_scheme)
 
     if chain:
-        return LossResult(res.loss, _standardize_vjp(s, res.grad))
+        return LossResult(res.loss, _standardize_vjp(s, res.grad), res.rows)
     return res

@@ -256,6 +256,29 @@ class TestBench:
         assert (out1 / "config.json").read_bytes() == (out2 / "config.json").read_bytes()
 
 
+class TestInvalidValues:
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("train-teacher", {"batch_size": 0}),
+            ("train-teacher", {"layer_sizes": [16, 8, 7]}),
+            ("train-teacher", {"layer_sizes": "abc"}),
+            ("train-teacher", {"epochs": -1}),
+            ("losscheck", {"instances": "x"}),
+            ("gradcheck", {"trials": "x"}),
+            ("gradcheck", {"class_counts": [1]}),  # dist needs two classes
+        ],
+    )
+    def test_usage_error_before_anything_is_written(self, tmp_path, capsys, command, doc):
+        cfg = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "o"
+        assert run([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestSeedFlag:
     def test_seed_flag_overrides_config(self, tmp_path):
         doc = {

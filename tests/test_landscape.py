@@ -6,12 +6,15 @@ import pytest
 from pldlab.landscape import (
     SLICE_CSV_HEADER,
     SliceSpec,
+    _draw_directions,
     line_convexity_probe,
     make_slice,
     point_loss,
     slice_to_csv,
     temperature_sweep,
 )
+from pldlab.losses import ce_loss, dist_loss, kd_loss, pld_loss
+from pldlab.numerics import make_rng
 
 FAST = SliceSpec(n_classes=20, resolution=7, temperatures=(1.0,), loss_kinds=("pld",), seed=2)
 
@@ -94,6 +97,57 @@ class TestMakeSlice:
             SliceSpec(temperatures=(0.0,)).validate()
         with pytest.raises(ValueError):
             SliceSpec(loss_kinds=("pld", "mystery")).validate()
+
+
+def one_point_loss(kind, s, t, y, temperature):
+    """Reference: the slice loss of a single point, as a one-row kernel call."""
+    s2, t2, labels = s[None, :], t[None, :], [y]
+    if kind == "pld":
+        return pld_loss(s2, t2, labels, tau_T=temperature).loss
+    if kind == "kd":
+        return kd_loss(s2, t2, labels, alpha=0.0, tau=temperature).loss
+    if kind == "dist":
+        return dist_loss(s2, t2, labels, alpha=0.0, beta=1.0, gamma=0.0, tau=temperature).loss
+    return ce_loss(s2, labels).loss
+
+
+ALL_KINDS = SliceSpec(
+    n_classes=12, resolution=5, temperatures=(2.0, 0.1), loss_kinds=("pld", "kd", "dist", "ce"),
+    seed=11,
+)
+
+
+class TestBatchedEvaluation:
+    def test_grid_equals_point_by_point_loop(self):
+        grid = make_slice(ALL_KINDS)
+        t, d1, d2, y = grid.anchor, grid.d1, grid.d2, grid.label
+        for (kind, temp), vals in grid.values.items():
+            for i, a in enumerate(grid.alphas):
+                for j, b in enumerate(grid.betas):
+                    ref = one_point_loss(kind, t + a * d1 + b * d2, t, y, temp)
+                    assert vals[i, j].tobytes() == np.float64(ref).tobytes()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS.loss_kinds)
+    @pytest.mark.parametrize("tolerance", [1e-9, -0.05])  # -0.05 makes every kind violate
+    def test_probe_equals_point_by_point_loop(self, kind, tolerance):
+        rng = make_rng(ALL_KINDS.seed)
+        t, d1, d2 = _draw_directions(rng, ALL_KINDS.n_classes)
+        y = int(np.argmax(t))
+        half = ALL_KINDS.span
+
+        def at(ab):
+            return one_point_loss(kind, t + ab[0] * d1 + ab[1] * d2, t, y, 0.5)
+
+        expected = 0
+        for _ in range(40):
+            p = rng.uniform(-half, half, size=2)
+            q = rng.uniform(-half, half, size=2)
+            lam = rng.uniform(0.0, 1.0)
+            mid = at(lam * p + (1.0 - lam) * q)
+            if mid > lam * at(p) + (1.0 - lam) * at(q) + tolerance:
+                expected += 1
+        got = line_convexity_probe(kind, ALL_KINDS, trials=40, temperature=0.5, tolerance=tolerance)
+        assert got == expected
 
 
 class TestTemperatureSweep:

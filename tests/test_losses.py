@@ -444,6 +444,22 @@ class TestGradCheckHarness:
         err = grad_check(broken, np.array([[0.3, -0.2, 0.5]]))
         assert err > 0.1
 
+    def test_flags_a_wrong_gradient_on_the_column_path(self):
+        from pldlab.losses import LossResult
+
+        rng = make_rng(50)
+        s, t, y = random_batch(rng, 4, 6)
+        calls = []
+
+        def broken(x):
+            calls.append(1)
+            good = pld_loss(x, t, y)
+            return LossResult(good.loss, good.grad * 1.5, good.rows)
+
+        err = grad_check(broken, s)
+        assert len(calls) == 2 * 6 + 1  # one pair of calls per column
+        assert err > 0.1
+
 
 class TestStudentTeacherKl:
     def test_identical_logits(self):

@@ -1,0 +1,85 @@
+"""Per-row losses: each row equals a one-row call, and coupled rows carry none."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pldlab.losses import (
+    DIVERGENCES,
+    STANDARDIZE_MODES,
+    WEIGHT_SCHEMES,
+    default_loss_config,
+    evaluate_loss,
+)
+
+SEPARABLE = [
+    ("ce", {}),
+    ("ls", {}),
+    *[("kd", {"divergence": d}) for d in DIVERGENCES],
+    ("dist", {"dist_gamma": 0.0}),
+    ("listmle", {}),
+    ("plistmle", {}),
+    *[("pld", {"pld_scheme": w}) for w in WEIGHT_SCHEMES],
+]
+COUPLED = [
+    ("dist", {}),
+    ("dist", {"dist_beta": 0.0, "dist_gamma": 1.0}),
+]
+
+
+@st.composite
+def batches(draw, min_rows=1):
+    """Teacher logits with or without ties, student logits scaled toward
+    +-700 (wide log-sum-exp rows and the log-space gradient tail), and
+    temperatures down to 1e-3."""
+    n = draw(st.integers(min_rows, 5))
+    c = draw(st.integers(2, 12))
+
+    def matrix(elements):
+        return np.array(draw(st.lists(elements, min_size=n * c, max_size=n * c))).reshape(n, c)
+
+    if draw(st.booleans()):
+        t = 0.5 * matrix(st.integers(-3, 3)).astype(np.float64)
+    else:
+        t = matrix(st.floats(-5.0, 5.0))
+    s = draw(st.sampled_from([1.0, 40.0, 350.0, 700.0])) * matrix(st.floats(-1.0, 1.0))
+    y = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)))
+    tau = draw(st.sampled_from([1e-3, 0.05, 0.5, 1.0, 4.0]))
+    return s, t, y, tau
+
+
+def config(kind, overrides, standardize, tau):
+    return default_loss_config(
+        kind, standardize=standardize, teacher_temperature=tau, kd_temperature=tau, **overrides
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    batch=batches(),
+    case=st.sampled_from(SEPARABLE),
+    standardize=st.sampled_from(STANDARDIZE_MODES),
+)
+def test_rows_equal_single_row_losses(batch, case, standardize):
+    s, t, y, tau = batch
+    cfg = config(*case, standardize, tau)
+    res = evaluate_loss(cfg, s, t, y)
+    assert res.rows is not None
+    assert res.rows.shape == (s.shape[0],)
+    for i in range(s.shape[0]):
+        single = evaluate_loss(cfg, s[i : i + 1], t[i : i + 1], y[i : i + 1])
+        assert res.rows[i].tobytes() == np.float64(single.loss).tobytes(), (i, single.loss)
+    assert abs(res.loss - res.rows.mean()) <= 1e-12 * abs(res.loss)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    batch=batches(min_rows=2),
+    case=st.sampled_from(COUPLED),
+    standardize=st.sampled_from(STANDARDIZE_MODES),
+)
+def test_coupled_rows_carry_no_row_losses(batch, case, standardize):
+    s, t, y, tau = batch
+    res = evaluate_loss(config(*case, standardize, tau), s, t, y)
+    assert res.rows is None
+    assert np.isfinite(res.loss)
