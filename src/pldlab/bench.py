@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lab.io import atomic_write_text
 from .losses import default_loss_config, evaluate_loss
 from .numerics import make_rng
 
@@ -22,7 +21,7 @@ __all__ = [
     "bench_losses",
     "growth_exponent",
     "bench_to_csv",
-    "write_bench_csv",
+    "check_bench_config",
 ]
 
 BENCH_CSV_HEADER = "loss_kind,batch,n_classes,trials,median_seconds"
@@ -45,12 +44,9 @@ def bench_losses(
     seed: int = 0,
 ) -> list:
     """Median per-batch loss+gradient seconds for each (kind, N, C)."""
-    if trials < 1 or warmup < 0:
-        raise ValueError("need trials >= 1 and warmup >= 0")
+    check_bench_config(sizes, kinds, trials, warmup)
     results = []
     for n, c in sizes:
-        if n < 1 or c < 2:
-            raise ValueError(f"invalid benchmark size ({n}, {c})")
         rng = make_rng(seed)
         s = rng.standard_normal((n, c))
         t = rng.standard_normal((n, c))
@@ -76,6 +72,17 @@ def bench_losses(
     return results
 
 
+def check_bench_config(sizes, kinds, trials: int, warmup: int) -> None:
+    """Raise ValueError unless ``bench_losses`` can run every measurement."""
+    if trials < 1 or warmup < 0:
+        raise ValueError("need trials >= 1 and warmup >= 0")
+    for n, c in sizes:
+        if n < 1 or c < 2:
+            raise ValueError(f"invalid benchmark size ({n}, {c})")
+    for kind in kinds:
+        default_loss_config(kind)
+
+
 def growth_exponent(results, kind: str) -> float:
     """Least-squares slope of log(median time) against log(C) for one kind."""
     pts = [(r.n_classes, r.median_seconds) for r in results if r.loss_kind == kind]
@@ -92,7 +99,3 @@ def bench_to_csv(results) -> str:
             f"{r.loss_kind},{r.batch},{r.n_classes},{r.trials},{r.median_seconds!r}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_bench_csv(results, path) -> None:
-    atomic_write_text(path, bench_to_csv(results))

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -21,12 +23,14 @@ import sys
 
 import numpy as np
 
-from .bench import bench_losses, bench_to_csv, growth_exponent
+from .bench import bench_losses, bench_to_csv, check_bench_config, growth_exponent
 from .lab.data import make_blobs
 from .lab.io import atomic_write_text
 from .lab.model import load_model, model_to_dict
 from .lab.optim import OptimizerConfig
-from .lab.train import TrainingFailure, distill_student, metrics_to_csv, train_teacher
+from .lab.train import (
+    TrainingFailure, check_distill, distill_student, metrics_to_csv, train_teacher,
+)
 from .landscape import SliceSpec, make_slice, slice_to_csv
 from .losses import (
     DIVERGENCES,
@@ -59,38 +63,16 @@ class VerificationFailure(RuntimeError):
     """A check suite ran to completion and found violations."""
 
 
+# Every default comes from the library.  The dataset adds label noise, the
+# one value the command line chooses for itself.
 _DATASET_DEFAULTS = {
-    "n_classes": 10,
-    "dim": 16,
-    "train_per_class": 500,
-    "test_per_class": 200,
-    "spread": 1.0,
-    "noise_rate": 0.1,
-    "seed": 0,
+    name: p.default for name, p in inspect.signature(make_blobs).parameters.items()
 }
+_DATASET_DEFAULTS["noise_rate"] = 0.1
 
-_OPTIMIZER_DEFAULTS = {
-    "learning_rate": 1e-3,
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "eps": 1e-8,
-    "weight_decay": 0.01,
-}
-
-_LOSS_DEFAULTS = {
-    "kind": "pld",
-    "ce_mix": 0.1,
-    "kd_temperature": 2.0,
-    "teacher_temperature": 1.0,
-    "dist_beta": 0.45,
-    "dist_gamma": 0.45,
-    "ls_epsilon": 0.1,
-    "divergence": "forward-kl",
-    "standardize": "none",
-    "pld_scheme": "teacher-softmax",
-}
-
-_DEFAULTS = {
+# The JSON round trip copies each block and turns tuples into lists, as a
+# config file would give them.
+_DEFAULTS = json.loads(json.dumps({
     "losscheck": {
         "seed": 0,
         "instances": 100,
@@ -109,30 +91,23 @@ _DEFAULTS = {
     },
     "train-teacher": {
         "seed": 0,
-        "dataset": dict(_DATASET_DEFAULTS),
+        "dataset": _DATASET_DEFAULTS,
         "layer_sizes": [16, 256, 256, 10],
-        "optimizer": dict(_OPTIMIZER_DEFAULTS),
+        "optimizer": dataclasses.asdict(OptimizerConfig()),
         "epochs": 20,
         "batch_size": 128,
     },
     "distill": {
         "seed": 0,
         "teacher": "teacher.json",
-        "dataset": dict(_DATASET_DEFAULTS),
+        "dataset": _DATASET_DEFAULTS,
         "layer_sizes": [16, 32, 10],
-        "loss": dict(_LOSS_DEFAULTS),
-        "optimizer": dict(_OPTIMIZER_DEFAULTS),
+        "loss": dataclasses.asdict(DistillLossConfig()),
+        "optimizer": dataclasses.asdict(OptimizerConfig()),
         "epochs": 30,
         "batch_size": 128,
     },
-    "landscape": {
-        "seed": 0,
-        "n_classes": 100,
-        "resolution": 41,
-        "span": 5.0,
-        "temperatures": [2.0, 1.0, 0.5, 0.1],
-        "loss_kinds": ["pld", "kd", "dist"],
-    },
+    "landscape": dataclasses.asdict(SliceSpec()),
     "bench": {
         "seed": 0,
         "sizes": [[256, 128], [256, 256], [256, 512], [256, 1024], [256, 1000]],
@@ -140,27 +115,45 @@ _DEFAULTS = {
         "trials": 11,
         "warmup": 3,
     },
+}))
+
+_TYPE_NAMES = {
+    int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "an object"
 }
 
 
+def _check_type(default, value, where: str) -> None:
+    """``value`` must have the JSON type of ``default``.  Where that is a
+    number, an int in float range may stand for it, but NaN, the infinities
+    and bools never do.  List items must match the first default item."""
+    if type(default) is float and type(value) in (int, float):
+        ok = abs(value) <= sys.float_info.max  # false for NaN
+    else:
+        ok = type(value) is type(default)
+    if not ok:
+        raise ConfigError(
+            f"config field {where!r} must be {_TYPE_NAMES[type(default)]}, got {value!r}"
+        )
+    if type(value) is list and default:
+        for item in value:
+            _check_type(default[0], item, f"{where} entry")
+
+
 def _merge(defaults, overrides, path=""):
-    """Defaults updated by overrides; keys absent from defaults are rejected."""
+    """Defaults updated by overrides; keys absent from defaults are rejected,
+    and so are values of another type."""
     merged = copy.deepcopy(defaults)
     for key, value in overrides.items():
         where = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ConfigError(f"unknown config field {where!r}")
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config field {where!r} must be an object")
-            merged[key] = _merge(defaults[key], value, where)
-        else:
-            merged[key] = value
+        _check_type(defaults[key], value, where)
+        merged[key] = _merge(defaults[key], value, where) if type(value) is dict else value
     return merged
 
 
 def _resolve_config(command: str, args) -> dict:
-    resolved = copy.deepcopy(_DEFAULTS[command])
+    doc = {}
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -179,7 +172,7 @@ def _resolve_config(command: str, args) -> dict:
             raise ConfigError(
                 f"config file is for command {file_command!r}, not {command!r}"
             )
-        resolved = _merge(resolved, doc)
+    resolved = _merge(_DEFAULTS[command], doc)
     if args.seed is not None:
         resolved["seed"] = args.seed
     return resolved
@@ -194,48 +187,26 @@ def _echo_config(command: str, config: dict, out_dir: str) -> None:
     )
 
 
-def _loss_config(doc: dict) -> DistillLossConfig:
+def _build(factory, doc: dict, what: str):
+    """``factory(**doc)``, validated when ``factory`` is a config class; a
+    ValueError is a config error."""
     try:
-        return DistillLossConfig(**doc).validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid loss config: {exc}") from exc
+        built = factory(**doc)
+        return built.validate() if isinstance(factory, type) else built
+    except ValueError as exc:
+        raise ConfigError(f"invalid {what} config: {exc}") from exc
 
 
-def _optimizer_config(doc: dict) -> OptimizerConfig:
-    try:
-        return OptimizerConfig(**doc).validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid optimizer config: {exc}") from exc
+def _count(value: int, name: str, minimum: int) -> int:
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
+    return value
 
 
-def _dataset_from(doc: dict):
-    try:
-        return make_blobs(**doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid dataset config: {exc}") from exc
-
-
-def _convert(convert, value, name: str):
-    """``convert(value)``; a value of the wrong type is a config error."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        kind = "an integer" if convert is int else "a number"
-        raise ConfigError(f"{name} must be {kind}, got {value!r}") from exc
-
-
-def _count(value, name: str, minimum: int) -> int:
-    n = _convert(int, value, name)
-    if n < minimum:
-        raise ConfigError(f"{name} must be at least {minimum}, got {n}")
-    return n
-
-
-def _seed(value) -> int:
-    seed = _convert(int, value, "seed")
-    if not 0 <= seed < 2**64:
+def _seed(value: int) -> int:
+    if not 0 <= value < 2**64:
         raise ConfigError("seed must fit in an unsigned 64-bit integer")
-    return seed
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +229,12 @@ def _naive_weighted_ranking_loss(s, t, y, weights=None, tau_T=1.0):
 
 
 def _losscheck_args(config: dict) -> dict:
-    max_c = _convert(int, config["oracle_max_classes"], "oracle_max_classes")
-    if not 2 <= max_c <= 8:
+    if not 2 <= config["oracle_max_classes"] <= 8:
         raise ConfigError("oracle_max_classes must lie in [2, 8]")
     return {
         "seed": _seed(config["seed"]),
         "instances": _count(config["instances"], "instances", 1),
-        "max_c": max_c,
+        "max_c": config["oracle_max_classes"],
     }
 
 
@@ -359,48 +329,44 @@ def cmd_losscheck(out_dir: str, seed: int, instances: int, max_c: int) -> int:
 # gradcheck
 
 
-def _gradcheck_variants(config: dict):
-    for kind in config["losses"]:
+def _gradcheck_variants(losses: list, teacher_temperatures: list) -> list:
+    variants = []
+    for kind in losses:
         if kind == "kd":
             for div in DIVERGENCES:
-                yield f"kd[{div}]", default_loss_config("kd", divergence=div)
+                variants.append((f"kd[{div}]", default_loss_config("kd", divergence=div)))
         elif kind == "pld":
-            for tau in config["teacher_temperatures"]:
-                yield f"pld[tau_T={tau}]", default_loss_config(
-                    "pld", teacher_temperature=float(tau)
+            for tau in teacher_temperatures:
+                variants.append(
+                    (f"pld[tau_T={tau}]", default_loss_config("pld", teacher_temperature=tau))
                 )
         else:
-            yield kind, default_loss_config(kind)
+            variants.append((kind, default_loss_config(kind)))
+    return variants
 
 
 def _gradcheck_args(config: dict) -> dict:
-    step = _convert(float, config["step"], "step")
-    if not step > 0:
+    if not config["step"] > 0:
         raise ConfigError("step must be positive")
-    floor = _convert(float, config["floor"], "floor")
-    if not floor >= 0:
+    if not config["floor"] >= 0:
         raise ConfigError("floor must be nonnegative")
-    try:
-        sizes = [
-            (int(n), int(c))
-            for c in config["class_counts"]
-            for n in config["batch_sizes"]
-        ]
-        variants = list(_gradcheck_variants(config))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid gradcheck config: {exc}") from exc
+    sizes = [(n, c) for c in config["class_counts"] for n in config["batch_sizes"]]
     if not sizes:
         raise ConfigError("class_counts and batch_sizes must be nonempty")
     if min(c for _, c in sizes) < 2 or min(n for n, _ in sizes) < 1:
         raise ConfigError("class_counts must be at least 2 and batch_sizes at least 1")
     return {
         "seed": _seed(config["seed"]),
-        "step": step,
-        "floor": floor,
+        "step": config["step"],
+        "floor": config["floor"],
         "trials": _count(config["trials"], "trials", 1),
-        "threshold": _convert(float, config["threshold"], "threshold"),
+        "threshold": config["threshold"],
         "sizes": sizes,
-        "variants": variants,
+        "variants": _build(
+            _gradcheck_variants,
+            {k: config[k] for k in ("losses", "teacher_temperatures")},
+            "gradcheck",
+        ),
     }
 
 
@@ -448,11 +414,8 @@ def cmd_gradcheck(
 
 
 def _training_args(config: dict) -> dict:
-    dataset = _dataset_from(config["dataset"])
+    dataset = _build(make_blobs, config["dataset"], "dataset")
     sizes = config["layer_sizes"]
-    if not isinstance(sizes, list):
-        raise ConfigError(f"layer_sizes must be a list of integers, got {sizes!r}")
-    sizes = [_convert(int, s, "layer_sizes entry") for s in sizes]
     if len(sizes) < 2 or min(sizes) < 1:
         raise ConfigError(f"invalid layer sizes {sizes}")
     if sizes[0] != dataset.dim or sizes[-1] != dataset.n_classes:
@@ -463,7 +426,7 @@ def _training_args(config: dict) -> dict:
     return {
         "dataset": dataset,
         "layer_sizes": sizes,
-        "opt_cfg": _optimizer_config(config["optimizer"]),
+        "opt_cfg": _build(OptimizerConfig, config["optimizer"], "optimizer"),
         "epochs": _count(config["epochs"], "epochs", 1),
         "seed": _seed(config["seed"]),
         "batch_size": _count(config["batch_size"], "batch_size", 1),
@@ -481,23 +444,22 @@ def cmd_train_teacher(out_dir: str, **training) -> int:
 
 
 def _distill_args(config: dict) -> dict:
-    teacher_path = config["teacher"]
-    if not isinstance(teacher_path, str) or not teacher_path:
+    if not config["teacher"]:
         raise ConfigError("'teacher' must be a path to a teacher model file")
-    return {
-        "teacher_path": teacher_path,
-        "loss_cfg": _loss_config(config["loss"]),
-        **_training_args(config),
-    }
-
-
-def cmd_distill(out_dir: str, teacher_path: str, loss_cfg, **training) -> int:
-    try:
-        teacher = load_model(teacher_path)
-    except OSError:
-        raise
+    loss_cfg = _build(DistillLossConfig, config["loss"], "loss")
+    training = _training_args(config)
+    try:  # an unreadable teacher file is an I/O error
+        teacher = load_model(config["teacher"])
+        check_distill(
+            training["dataset"], teacher, training["layer_sizes"], loss_cfg,
+            training["batch_size"],
+        )
     except ValueError as exc:
-        raise ConfigError(f"invalid teacher model: {exc}") from exc
+        raise ConfigError(f"invalid teacher or distillation config: {exc}") from exc
+    return {"teacher": teacher, "loss_cfg": loss_cfg, **training}
+
+
+def cmd_distill(out_dir: str, teacher, loss_cfg, **training) -> int:
     try:
         run = distill_student(teacher=teacher, loss_cfg=loss_cfg, **training)
     except ValueError as exc:
@@ -518,18 +480,10 @@ def cmd_distill(out_dir: str, teacher_path: str, loss_cfg, **training) -> int:
 
 
 def _landscape_args(config: dict) -> dict:
-    try:
-        spec = SliceSpec(
-            n_classes=int(config["n_classes"]),
-            resolution=int(config["resolution"]),
-            span=float(config["span"]),
-            temperatures=tuple(float(t) for t in config["temperatures"]),
-            loss_kinds=tuple(config["loss_kinds"]),
-            seed=_seed(config["seed"]),
-        ).validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid slice spec: {exc}") from exc
-    return {"spec": spec}
+    _seed(config["seed"])
+    spec = {**config, "temperatures": tuple(config["temperatures"]),
+            "loss_kinds": tuple(config["loss_kinds"])}
+    return {"spec": _build(SliceSpec, spec, "landscape")}
 
 
 def cmd_landscape(out_dir: str, spec: SliceSpec) -> int:
@@ -541,23 +495,13 @@ def cmd_landscape(out_dir: str, spec: SliceSpec) -> int:
 
 
 def _bench_args(config: dict) -> dict:
-    try:
-        return {
-            "sizes": [(int(n), int(c)) for n, c in config["sizes"]],
-            "kinds": tuple(config["kinds"]),
-            "trials": int(config["trials"]),
-            "warmup": int(config["warmup"]),
-            "seed": _seed(config["seed"]),
-        }
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid bench config: {exc}") from exc
+    bench = {k: config[k] for k in ("sizes", "kinds", "trials", "warmup")}
+    _build(check_bench_config, bench, "bench")
+    return {**bench, "seed": _seed(config["seed"])}
 
 
 def cmd_bench(out_dir: str, **bench) -> int:
-    try:
-        results = bench_losses(**bench)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    results = bench_losses(**bench)
     atomic_write_text(os.path.join(out_dir, "bench.csv"), bench_to_csv(results))
     print(f"{'loss':<6} {'batch':>6} {'classes':>8} {'median_ms':>10}")
     for r in results:

@@ -24,7 +24,6 @@ from .train import (
     distill_student,
     metrics_to_csv,
     train_teacher,
-    write_metrics_csv,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "distill_student",
     "metrics_to_csv",
     "train_teacher",
-    "write_metrics_csv",
 ]

@@ -13,7 +13,7 @@ reproduces the dataset bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class SyntheticDataset:
     spread: float
     noise_rate: float
     seed: int
-    params: dict = field(default_factory=dict)
 
 
 def make_blobs(
@@ -88,8 +87,4 @@ def make_blobs(
         spread=float(spread),
         noise_rate=float(noise_rate),
         seed=int(seed),
-        params={
-            "train_per_class": train_per_class,
-            "test_per_class": test_per_class,
-        },
     )

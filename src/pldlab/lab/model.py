@@ -123,17 +123,23 @@ def model_to_dict(model: MlpModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> MlpModel:
+    """The model a document describes; ValueError for any malformed document."""
+    if not isinstance(doc, dict):
+        raise ValueError("a model document must be a JSON object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {doc.get('format_version')!r}")
-    sizes = tuple(int(s) for s in doc["layer_sizes"])
-    weights, biases = [], []
-    for l, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        w = np.asarray(doc["weights"][l], dtype=np.float64).reshape(fan_in, fan_out)
-        b = np.asarray(doc["biases"][l], dtype=np.float64)
-        if b.shape != (fan_out,):
-            raise ValueError("bias length does not match layer sizes")
-        weights.append(w)
-        biases.append(b)
+    try:
+        sizes = tuple(int(s) for s in doc["layer_sizes"])
+        weights, biases = [], []
+        for l, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+            w = np.asarray(doc["weights"][l], dtype=np.float64).reshape(fan_in, fan_out)
+            b = np.asarray(doc["biases"][l], dtype=np.float64)
+            if b.shape != (fan_out,):
+                raise ValueError("bias length does not match layer sizes")
+            weights.append(w)
+            biases.append(b)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"malformed model document: missing or mistyped {exc}") from exc
     if not all(np.isfinite(w).all() for w in weights) or not all(
         np.isfinite(b).all() for b in biases
     ):

@@ -45,7 +45,8 @@ def init_optimizer(params) -> OptimizerState:
 
 
 def step_optimizer(params, grads, state: OptimizerState, cfg: OptimizerConfig):
-    """One update; returns (new_params, state).  Moments are updated in place.
+    """One update of the parameter arrays and moments in place; returns
+    (params, state) with the same parameter list.
 
     With zero moment state the first update direction for a parameter p with
     gradient g is -lr * (g / (|g| + eps) + weight_decay * p), i.e. a
@@ -58,7 +59,6 @@ def step_optimizer(params, grads, state: OptimizerState, cfg: OptimizerConfig):
     t = state.step
     bc1 = 1.0 - cfg.beta1**t
     bc2 = 1.0 - cfg.beta2**t
-    new_params = []
     for i, (p, g) in enumerate(zip(params, grads)):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
@@ -67,5 +67,5 @@ def step_optimizer(params, grads, state: OptimizerState, cfg: OptimizerConfig):
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
         step = m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * p
-        new_params.append(p - cfg.learning_rate * step)
-    return new_params, state
+        p -= cfg.learning_rate * step
+    return params, state

@@ -15,7 +15,6 @@ import numpy as np
 from ..losses import DistillLossConfig, ce_loss, evaluate_loss, student_teacher_kl
 from ..numerics import make_rng
 from .data import SyntheticDataset
-from .io import atomic_write_text
 from .model import MlpModel, backward, forward, init_mlp
 from .optim import OptimizerConfig, init_optimizer, step_optimizer
 
@@ -25,9 +24,9 @@ __all__ = [
     "DistillRun",
     "train_teacher",
     "distill_student",
+    "check_distill",
     "accuracy",
     "metrics_to_csv",
-    "write_metrics_csv",
     "METRICS_HEADER",
 ]
 
@@ -48,7 +47,6 @@ class EpochRecord:
 
 @dataclass
 class DistillRun:
-    config: dict
     records: list
     model: MlpModel
     step_losses: list = field(default_factory=list)
@@ -57,26 +55,6 @@ class DistillRun:
 def accuracy(model: MlpModel, features, labels) -> float:
     logits = forward(model, features)
     return float((np.argmax(logits, axis=1) == np.asarray(labels)).mean())
-
-
-def _flatten(model: MlpModel):
-    params = []
-    for w, b in zip(model.weights, model.biases):
-        params.extend([w, b])
-    return params
-
-
-def _unflatten(model: MlpModel, params) -> None:
-    for l in range(len(model.weights)):
-        model.weights[l] = params[2 * l]
-        model.biases[l] = params[2 * l + 1]
-
-
-def _grad_list(grads):
-    out = []
-    for dw, db in grads:
-        out.extend([dw, db])
-    return out
 
 
 def _run_epochs(
@@ -90,7 +68,7 @@ def _run_epochs(
     teacher: MlpModel | None,
 ):
     n = dataset.train_features.shape[0]
-    params = _flatten(model)
+    params = [p for layer in zip(model.weights, model.biases) for p in layer]
     state = init_optimizer(params)
     records = []
     step_losses = []
@@ -112,8 +90,7 @@ def _run_epochs(
             if not np.isfinite(result.loss):
                 raise TrainingFailure(f"non-finite loss at epoch {epoch}")
             grads = backward(model, xb, result.grad)
-            params, state = step_optimizer(params, _grad_list(grads), state, opt_cfg)
-            _unflatten(model, params)
+            step_optimizer(params, [g for layer in grads for g in layer], state, opt_cfg)
             epoch_losses.append(result.loss)
             step_losses.append(result.loss)
         test_top1 = accuracy(model, dataset.test_features, dataset.test_labels)
@@ -171,6 +148,32 @@ def distill_student(
     """Train a student under any configured objective against a frozen teacher."""
     loss_cfg = loss_cfg.validate()
     opt_cfg = (opt_cfg or OptimizerConfig()).validate()
+    check_distill(dataset, teacher, layer_sizes, loss_cfg, batch_size)
+    rng = make_rng(seed)
+    model = init_mlp(layer_sizes, rng)
+
+    def loss_fn(logits, xb, yb):
+        t_logits = forward(teacher, xb) if loss_cfg.needs_teacher else logits
+        return evaluate_loss(loss_cfg, logits, t_logits, yb)
+
+    records, step_losses = _run_epochs(
+        dataset, model, loss_fn, opt_cfg, epochs, batch_size, rng, teacher=teacher
+    )
+    return DistillRun(records=records, model=model, step_losses=step_losses)
+
+
+def check_distill(
+    dataset: SyntheticDataset,
+    teacher: MlpModel,
+    layer_sizes,
+    loss_cfg: DistillLossConfig,
+    batch_size: int,
+) -> None:
+    """Raise ValueError unless every batch of this distillation can be scored.
+
+    The logit widths must match, and dist with an intra-class term (gamma >
+    0) needs at least two rows in every batch, the last one included.
+    """
     if teacher.out_dim != dataset.n_classes or int(layer_sizes[-1]) != dataset.n_classes:
         raise ValueError(
             f"logit widths must match: teacher {teacher.out_dim}, "
@@ -178,26 +181,12 @@ def distill_student(
         )
     if teacher.in_dim != dataset.dim:
         raise ValueError(f"teacher input width {teacher.in_dim} != data dim {dataset.dim}")
-    rng = make_rng(seed)
-    model = init_mlp(layer_sizes, rng)
-    needs_teacher = loss_cfg.kind not in ("ce", "ls")
-
-    def loss_fn(logits, xb, yb):
-        t_logits = forward(teacher, xb) if needs_teacher else logits
-        return evaluate_loss(loss_cfg, logits, t_logits, yb)
-
-    records, step_losses = _run_epochs(
-        dataset, model, loss_fn, opt_cfg, epochs, batch_size, rng, teacher=teacher
-    )
-    config = {
-        "loss": loss_cfg.__dict__.copy(),
-        "optimizer": opt_cfg.__dict__.copy(),
-        "layer_sizes": [int(s) for s in layer_sizes],
-        "epochs": epochs,
-        "seed": seed,
-        "batch_size": batch_size,
-    }
-    return DistillRun(config=config, records=records, model=model, step_losses=step_losses)
+    n = dataset.train_features.shape[0]
+    if loss_cfg.kind == "dist" and loss_cfg.dist_gamma > 0 and 1 in (batch_size, n % batch_size):
+        raise ValueError(
+            f"dist with dist_gamma > 0 needs batches of at least 2 rows; "
+            f"{n} examples in batches of {batch_size} leave a batch of 1"
+        )
 
 
 def metrics_to_csv(records) -> str:
@@ -207,7 +196,3 @@ def metrics_to_csv(records) -> str:
         kl = "" if r.teacher_kl is None else repr(float(r.teacher_kl))
         lines.append(f"{r.epoch},{float(r.train_loss)!r},{float(r.test_top1)!r},{kl}")
     return "\n".join(lines) + "\n"
-
-
-def write_metrics_csv(records, path) -> None:
-    atomic_write_text(path, metrics_to_csv(records))

@@ -182,18 +182,19 @@ def argsort_stable(v, descending: bool = False, axis: int = -1) -> np.ndarray:
     if descending:
         key = -key
     order = np.argsort(key, axis=axis)
-    sorted_vals = np.take_along_axis(key, order, axis=axis)
-    ties = (np.diff(sorted_vals, axis=axis) == 0).any(axis=axis)
+    # the tie scan and the re-sort see the sort axis last; swapping it with
+    # the last axis is cheap and its own inverse
+    sorted_vals = np.take_along_axis(key, order, axis=axis).swapaxes(axis, -1)
+    ties = (sorted_vals[..., 1:] == sorted_vals[..., :-1]).any(axis=-1)
     if not np.any(ties):
         return order
     if key.ndim == 1:
         return np.argsort(key, axis=axis, kind="stable")
-    flat_key = np.moveaxis(key, axis, -1).reshape(-1, key.shape[axis])
-    flat_order = np.moveaxis(order, axis, -1).reshape(-1, key.shape[axis])
+    flat_key = key.swapaxes(axis, -1).reshape(-1, key.shape[axis])
+    flat_order = order.swapaxes(axis, -1).reshape(-1, key.shape[axis])
     rows = np.flatnonzero(ties.ravel())
     flat_order[rows] = np.argsort(flat_key[rows], axis=-1, kind="stable")
-    out = flat_order.reshape(np.moveaxis(key, axis, -1).shape)
-    return np.moveaxis(out, -1, axis)
+    return flat_order.reshape(sorted_vals.shape).swapaxes(axis, -1)
 
 
 def make_rng(seed: int) -> np.random.Generator:

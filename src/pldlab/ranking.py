@@ -74,21 +74,14 @@ def ascending_rankings(t_batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Row-wise evaluation orderings: teacher-ascending with the label last.
 
     This is exactly the reverse of the teacher-optimal ranking, so position
-    j holds the class ranked C-1-j.  Inputs are assumed validated.  Setting
-    the label's sort key to +inf moves it to the end in one pass; rows with
-    tied teacher logits are re-sorted stably so that the reversed ordering
-    keeps the lower class index first among equals.
+    j holds the class ranked C-1-j.  Inputs are assumed validated.  The
+    teacher-optimal ranking is the tie-stable ascending sort of the negated
+    logits with the label's key at -inf; reversing it keeps the lower class
+    index first among equals once read back in ranking order.
     """
-    n, c = t_batch.shape
-    key = t_batch.copy()
-    key[np.arange(n), labels] = np.inf
-    order = np.argsort(key, axis=1)
-    sorted_keys = np.take_along_axis(key, order, axis=1)
-    tie_rows = (sorted_keys[:, 1:] == sorted_keys[:, :-1]).any(axis=1)
-    if tie_rows.any():
-        for r in np.flatnonzero(tie_rows):
-            order[r] = np.argsort(-key[r], kind="stable")[::-1]
-    return order
+    key = -t_batch
+    key[np.arange(t_batch.shape[0]), labels] = -np.inf
+    return np.ascontiguousarray(argsort_stable(key)[:, ::-1])
 
 
 def teacher_optimal_permutations(t_batch, labels) -> np.ndarray:

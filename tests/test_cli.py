@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pldlab import cli
 from pldlab.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -12,6 +13,8 @@ from pldlab.cli import (
     EXIT_VERIFICATION,
     main,
 )
+from pldlab.lab import init_mlp, save_model
+from pldlab.numerics import make_rng
 
 TINY_DATASET = {
     "n_classes": 4,
@@ -206,6 +209,26 @@ class TestDistill:
         cfg = write_config(tmp_path, "c.json", doc)
         assert run(["distill", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "change, code",
+        [
+            # the teacher reads 4 features
+            ({"dataset": {**TINY_DATASET, "dim": 5}, "layer_sizes": [5, 8, 4]}, EXIT_USAGE),
+            ({"teacher": "nowhere.json"}, EXIT_IO),
+            # 120 examples in batches of 7 leave a last batch of one row
+            ({"loss": {"kind": "dist"}, "batch_size": 7}, EXIT_USAGE),
+        ],
+    )
+    def test_error_before_anything_is_written(
+        self, teacher_dir, tmp_path, monkeypatch, change, code
+    ):
+        monkeypatch.chdir(tmp_path)
+        doc = {**self.distill_doc(teacher_dir, kind="pld"), **change}
+        cfg = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "o"
+        assert run(["distill", "--config", cfg, "--out", str(out)]) == code
+        assert not out.exists()
+
 
 class TestLandscape:
     DOC = {
@@ -267,6 +290,16 @@ class TestInvalidValues:
             ("losscheck", {"instances": "x"}),
             ("gradcheck", {"trials": "x"}),
             ("gradcheck", {"class_counts": [1]}),  # dist needs two classes
+            ("train-teacher", {"epochs": 1.9}),
+            ("train-teacher", {"epochs": "1"}),
+            ("landscape", {"n_classes": 12.9}),
+            ("losscheck", {"instances": 2.7}),
+            ("gradcheck", {"losses": "ce"}),
+            ("bench", {"trials": 0}),
+            ("bench", {"sizes": [[0, 8]]}),
+            ("bench", {"kinds": ["foo"]}),
+            ("landscape", {"span": float("inf")}),  # written as Infinity
+            ("gradcheck", {"threshold": float("nan")}),
         ],
     )
     def test_usage_error_before_anything_is_written(self, tmp_path, capsys, command, doc):
@@ -277,6 +310,95 @@ class TestInvalidValues:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+DATASET_DEFAULTS = {
+    "dim": 16,
+    "n_classes": 10,
+    "noise_rate": 0.1,
+    "seed": 0,
+    "spread": 1.0,
+    "test_per_class": 200,
+    "train_per_class": 500,
+}
+OPTIMIZER_DEFAULTS = {
+    "beta1": 0.9,
+    "beta2": 0.999,
+    "eps": 1e-08,
+    "learning_rate": 0.001,
+    "weight_decay": 0.01,
+}
+DEFAULT_ECHOES = {
+    "losscheck": {"instances": 100, "oracle_max_classes": 6, "seed": 0},
+    "gradcheck": {
+        "batch_sizes": [1, 8],
+        "class_counts": [2, 10, 100],
+        "floor": 1e-08,
+        "losses": ["ce", "ls", "kd", "dist", "listmle", "plistmle", "pld"],
+        "seed": 0,
+        "step": 1e-05,
+        "teacher_temperatures": [0.5, 1.0, 4.0],
+        "threshold": 1e-05,
+        "trials": 20,
+    },
+    "train-teacher": {
+        "batch_size": 128,
+        "dataset": DATASET_DEFAULTS,
+        "epochs": 20,
+        "layer_sizes": [16, 256, 256, 10],
+        "optimizer": OPTIMIZER_DEFAULTS,
+        "seed": 0,
+    },
+    "distill": {
+        "batch_size": 128,
+        "dataset": DATASET_DEFAULTS,
+        "epochs": 30,
+        "layer_sizes": [16, 32, 10],
+        "loss": {
+            "ce_mix": 0.1,
+            "dist_beta": 0.45,
+            "dist_gamma": 0.45,
+            "divergence": "forward-kl",
+            "kd_temperature": 2.0,
+            "kind": "pld",
+            "ls_epsilon": 0.1,
+            "pld_scheme": "teacher-softmax",
+            "standardize": "none",
+            "teacher_temperature": 1.0,
+        },
+        "optimizer": OPTIMIZER_DEFAULTS,
+        "seed": 0,
+        "teacher": "teacher.json",
+    },
+    "landscape": {
+        "loss_kinds": ["pld", "kd", "dist"],
+        "n_classes": 100,
+        "resolution": 41,
+        "seed": 0,
+        "span": 5.0,
+        "temperatures": [2.0, 1.0, 0.5, 0.1],
+    },
+    "bench": {
+        "kinds": ["ce", "kd", "dist", "pld"],
+        "seed": 0,
+        "sizes": [[256, 128], [256, 256], [256, 512], [256, 1024], [256, 1000]],
+        "trials": 11,
+        "warmup": 3,
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_ECHOES))
+def test_default_config_echo_is_pinned(tmp_path, monkeypatch, command):
+    """The echo of every default config, byte for byte; the run step is skipped."""
+    save_model(init_mlp([16, 10], make_rng(0)), tmp_path / "teacher.json")
+    monkeypatch.chdir(tmp_path)
+    args_step, _ = cli._COMMANDS[command]
+    monkeypatch.setitem(cli._COMMANDS, command, (args_step, lambda out_dir, **kw: EXIT_OK))
+    assert main([command, "--out", "o"]) == EXIT_OK
+    expected = {"format_version": 1, "command": command, **DEFAULT_ECHOES[command]}
+    text = (tmp_path / "o" / "config.json").read_text()
+    assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 class TestSeedFlag:

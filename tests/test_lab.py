@@ -173,6 +173,18 @@ class TestSerialization:
         with pytest.raises(ValueError):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {"format_version": 1},
+            {"format_version": 1, "layer_sizes": [3, 2], "weights": [], "biases": []},
+        ],
+    )
+    def test_malformed_document_is_a_value_error(self, doc):
+        with pytest.raises(ValueError):
+            model_from_dict(doc)
+
     def test_document_shape(self, tmp_path):
         model = init_mlp([3, 4, 2], make_rng(68))
         path = tmp_path / "m.json"
@@ -189,8 +201,9 @@ class TestOptimizer:
         g = [np.zeros(2)]
         cfg = OptimizerConfig(weight_decay=0.0)
         state = init_optimizer(p)
+        before = p[0].copy()
         updated = step_optimizer(p, g, state, cfg)[0]
-        np.testing.assert_array_equal(updated[0], p[0])
+        np.testing.assert_array_equal(updated[0], before)
 
     def test_first_step_closed_form_scalar(self):
         cfg = OptimizerConfig(learning_rate=0.1, weight_decay=0.0)

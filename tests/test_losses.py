@@ -460,6 +460,25 @@ class TestGradCheckHarness:
         assert len(calls) == 2 * 6 + 1  # one pair of calls per column
         assert err > 0.1
 
+    def test_nan_gradient_on_the_column_path_is_not_exact(self):
+        from pldlab.losses import LossResult
+
+        def nan_grad(x):
+            good = ce_loss(x, [0, 1])
+            return LossResult(good.loss, good.grad * np.nan, good.rows)
+
+        assert grad_check(nan_grad, np.array([[0.3, -0.2, 0.5], [0.1, 0.0, -0.4]])) == np.inf
+
+    def test_nan_difference_on_the_per_coordinate_path_is_not_exact(self):
+        from pldlab.losses import LossResult
+
+        def nan_away_from_start(x):
+            good = ce_loss(x, [0])
+            loss = good.loss if np.array_equal(x, [[0.3, -0.2, 0.5]]) else np.nan
+            return LossResult(loss, good.grad)  # no rows: one pair per coordinate
+
+        assert grad_check(nan_away_from_start, np.array([[0.3, -0.2, 0.5]])) == np.inf
+
 
 class TestStudentTeacherKl:
     def test_identical_logits(self):
