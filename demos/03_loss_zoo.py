@@ -44,7 +44,7 @@ print(f"teacher temperature reshapes the weights: tau_T=0.5 -> {sharp:.4f}, "
 pi = teacher_optimal_permutation(t[0], y[0])
 for scheme in ("teacher-softmax", "uniform", "plistmle-exponential", "onehot-first"):
     w = make_weights(t[0], pi, scheme)
-    print(f"{scheme:<22} weights {np.round(w.alpha, 3)}")
+    print(f"{scheme:<22} weights {np.round(w, 3)}")
 
 # --- distribution alignment metric --------------------------------------------
 print("\nKL(teacher || student) on this batch:", round(student_teacher_kl(s, t), 4))

@@ -32,12 +32,10 @@ from .ranking import (
     pl_enumerate,
     pl_log_likelihood,
     teacher_optimal_permutation,
-    teacher_optimal_permutations,
 )
 from .losses import (
     DistillLossConfig,
     LossResult,
-    PositionWeights,
     ce_loss,
     default_loss_config,
     dist_loss,
@@ -66,10 +64,8 @@ __all__ = [
     "pl_enumerate",
     "pl_log_likelihood",
     "teacher_optimal_permutation",
-    "teacher_optimal_permutations",
     "DistillLossConfig",
     "LossResult",
-    "PositionWeights",
     "ce_loss",
     "default_loss_config",
     "dist_loss",

@@ -76,6 +76,8 @@ def check_bench_config(sizes, kinds, trials: int, warmup: int) -> None:
     """Raise ValueError unless ``bench_losses`` can run every measurement."""
     if trials < 1 or warmup < 0:
         raise ValueError("need trials >= 1 and warmup >= 0")
+    if not sizes or not kinds:
+        raise ValueError("sizes and kinds must be nonempty")
     for n, c in sizes:
         if n < 1 or c < 2:
             raise ValueError(f"invalid benchmark size ({n}, {c})")

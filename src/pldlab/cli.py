@@ -188,11 +188,9 @@ def _echo_config(command: str, config: dict, out_dir: str) -> None:
 
 
 def _build(factory, doc: dict, what: str):
-    """``factory(**doc)``, validated when ``factory`` is a config class; a
-    ValueError is a config error."""
+    """``factory(**doc)``; a ValueError is a config error."""
     try:
-        built = factory(**doc)
-        return built.validate() if isinstance(factory, type) else built
+        return factory(**doc)
     except ValueError as exc:
         raise ConfigError(f"invalid {what} config: {exc}") from exc
 
@@ -330,6 +328,10 @@ def cmd_losscheck(out_dir: str, seed: int, instances: int, max_c: int) -> int:
 
 
 def _gradcheck_variants(losses: list, teacher_temperatures: list) -> list:
+    if not losses:
+        raise ValueError("losses must be nonempty")
+    if "pld" in losses and not teacher_temperatures:
+        raise ValueError("pld needs at least one teacher temperature")
     variants = []
     for kind in losses:
         if kind == "kd":

@@ -48,13 +48,6 @@ class MlpModel:
     def out_dim(self) -> int:
         return self.layer_sizes[-1]
 
-    def copy(self) -> "MlpModel":
-        return MlpModel(
-            layer_sizes=tuple(self.layer_sizes),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
 
 def init_mlp(layer_sizes, rng: np.random.Generator) -> MlpModel:
     sizes = tuple(int(s) for s in layer_sizes)

@@ -11,22 +11,23 @@ __all__ = ["OptimizerConfig", "OptimizerState", "init_optimizer", "step_optimize
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Optimizer settings; construction rejects out-of-range fields."""
+
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.01
 
-    def validate(self) -> "OptimizerConfig":
+    def __post_init__(self):
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError("weight_decay must be nonnegative")
-        return self
 
 
 @dataclass
@@ -52,7 +53,6 @@ def step_optimizer(params, grads, state: OptimizerState, cfg: OptimizerConfig):
     gradient g is -lr * (g / (|g| + eps) + weight_decay * p), i.e. a
     sign-scaled step: bias correction cancels the (1 - beta) factors.
     """
-    cfg = cfg.validate()
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("parameter, gradient, and state lists must align")
     state.step += 1

@@ -118,7 +118,7 @@ def train_teacher(
     batch_size: int = 128,
 ):
     """Cross-entropy training from scratch; returns (model, epoch records)."""
-    opt_cfg = (opt_cfg or OptimizerConfig()).validate()
+    opt_cfg = opt_cfg or OptimizerConfig()
     if int(layer_sizes[-1]) != dataset.n_classes:
         raise ValueError(
             f"output width {layer_sizes[-1]} != {dataset.n_classes} classes"
@@ -146,8 +146,7 @@ def distill_student(
     batch_size: int = 128,
 ) -> DistillRun:
     """Train a student under any configured objective against a frozen teacher."""
-    loss_cfg = loss_cfg.validate()
-    opt_cfg = (opt_cfg or OptimizerConfig()).validate()
+    opt_cfg = opt_cfg or OptimizerConfig()
     check_distill(dataset, teacher, layer_sizes, loss_cfg, batch_size)
     rng = make_rng(seed)
     model = init_mlp(layer_sizes, rng)

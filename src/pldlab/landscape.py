@@ -48,6 +48,8 @@ _GRAM_SCHMIDT_RETRIES = 8
 
 @dataclass(frozen=True)
 class SliceSpec:
+    """A slice configuration; construction rejects out-of-range fields."""
+
     n_classes: int = 100
     resolution: int = 41
     span: float = 5.0
@@ -55,19 +57,18 @@ class SliceSpec:
     loss_kinds: tuple = ("pld", "kd", "dist")
     seed: int = 0
 
-    def validate(self) -> "SliceSpec":
+    def __post_init__(self):
         if self.n_classes < 2:
             raise ValueError("need at least 2 classes")
         if self.resolution < 3:
             raise ValueError("grid resolution must be at least 3")
         if not self.span > 0:
             raise ValueError("span must be positive")
-        if not self.temperatures or any(t <= 0 for t in self.temperatures):
+        if not self.temperatures or any(not t > 0 for t in self.temperatures):
             raise ValueError("temperatures must be positive")
         bad = [k for k in self.loss_kinds if k not in SLICE_LOSS_KINDS]
         if bad or not self.loss_kinds:
             raise ValueError(f"unsupported slice loss kinds: {bad}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,6 @@ def point_loss(kind: str, s: np.ndarray, t: np.ndarray, y: int, temperature: flo
 
 def make_slice(spec: SliceSpec) -> SliceGrid:
     """Evaluate every configured (loss, temperature) pair over the grid."""
-    spec = spec.validate()
     rng = make_rng(spec.seed)
     t, d1, d2 = _draw_directions(rng, spec.n_classes)
     half = spec.span * float(np.linalg.norm(t))  # == span: t has unit norm
@@ -188,7 +188,6 @@ def line_convexity_probe(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    spec = spec.validate()
     rng = make_rng(spec.seed)
     t, d1, d2 = _draw_directions(rng, spec.n_classes)
     y = int(np.argmax(t))

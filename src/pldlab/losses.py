@@ -41,7 +41,6 @@ from .ranking import as_ranking, ascending_rankings
 
 __all__ = [
     "LossResult",
-    "PositionWeights",
     "DistillLossConfig",
     "LOSS_KINDS",
     "DIVERGENCES",
@@ -87,21 +86,14 @@ class LossResult:
 
 
 @dataclass(frozen=True)
-class PositionWeights:
-    """Per-position weights over a ranking, first pick first."""
-
-    alpha: np.ndarray
-    scheme: str
-
-
-@dataclass(frozen=True)
 class DistillLossConfig:
     """Fully-resolved description of one training objective.
 
     ``kd_temperature`` softens both distributions for the kd and dist kinds;
     ``teacher_temperature`` softens only the position weights of the pld
     kind.  ``ce_mix`` is the cross-entropy weight for kd and dist (the
-    ranking losses have no separate CE term).
+    ranking losses have no separate CE term).  Construction raises
+    ValueError for any out-of-range field.
     """
 
     kind: str = "pld"
@@ -115,7 +107,7 @@ class DistillLossConfig:
     standardize: str = "none"
     pld_scheme: str = "teacher-softmax"
 
-    def validate(self) -> "DistillLossConfig":
+    def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.pld_scheme not in WEIGHT_SCHEMES:
@@ -126,7 +118,7 @@ class DistillLossConfig:
             raise ValueError("kd_temperature must be positive")
         if not self.teacher_temperature > 0:
             raise ValueError("teacher_temperature must be positive")
-        if self.dist_beta < 0 or self.dist_gamma < 0:
+        if not (self.dist_beta >= 0 and self.dist_gamma >= 0):
             raise ValueError("dist_beta and dist_gamma must be nonnegative")
         if not 0.0 <= self.ls_epsilon < 1.0:
             raise ValueError("ls_epsilon must lie in [0, 1)")
@@ -134,7 +126,6 @@ class DistillLossConfig:
             raise ValueError(f"unknown divergence {self.divergence!r}")
         if self.standardize not in STANDARDIZE_MODES:
             raise ValueError(f"unknown standardize mode {self.standardize!r}")
-        return self
 
     @property
     def needs_teacher(self) -> bool:
@@ -147,7 +138,7 @@ def default_loss_config(kind: str, **overrides) -> DistillLossConfig:
     softens at kd_temperature 1 rather than 2."""
     if kind == "dist":
         overrides = {"kd_temperature": 1.0, **overrides}
-    return DistillLossConfig(kind=kind, **overrides).validate()
+    return DistillLossConfig(kind=kind, **overrides)
 
 
 def _onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -161,7 +152,7 @@ def ce_loss(s_batch, labels) -> LossResult:
     s = as_finite_matrix(s_batch, "student logits")
     n, c = s.shape
     y = as_labels(labels, c, n)
-    logq = log_softmax(s, axis=-1)
+    logq = log_softmax(s)
     picked = logq[np.arange(n), y]
     loss = float(-picked.mean())
     grad = (np.exp(logq) - _onehot(y, c)) / n
@@ -176,7 +167,7 @@ def ls_loss(s_batch, labels, epsilon: float) -> LossResult:
     n, c = s.shape
     y = as_labels(labels, c, n)
     target = (1.0 - epsilon) * _onehot(y, c) + epsilon / c
-    logq = log_softmax(s, axis=-1)
+    logq = log_softmax(s)
     sums = (target * logq).sum(axis=1)
     loss = float(-sums.mean())
     grad = (np.exp(logq) - target) / n
@@ -211,8 +202,8 @@ def kd_loss(
     n, c = s.shape
     y = as_labels(labels, c, n)
 
-    logq = log_softmax(s, temperature=tau, axis=-1)
-    logp = log_softmax(t, temperature=tau, axis=-1)
+    logq = log_softmax(s, temperature=tau)
+    logp = log_softmax(t, temperature=tau)
     q = np.exp(logq)
     p = np.exp(logp)
 
@@ -293,8 +284,8 @@ def dist_loss(
         raise ValueError("intra-class correlation needs a batch of at least 2 rows")
     y = as_labels(labels, c, n)
 
-    qs = softmax(s, temperature=tau, axis=-1)
-    qt = softmax(t, temperature=tau, axis=-1)
+    qs = softmax(s, temperature=tau)
+    qt = softmax(t, temperature=tau)
 
     loss = 0.0
     rows = np.zeros(n)
@@ -335,8 +326,8 @@ def _plistmle_weights(n_classes: int) -> np.ndarray:
     return (np.exp2(-k) - tail) / (1.0 - (n_classes + 1) * tail)
 
 
-def make_weights(t, pi, scheme: str, tau_T: float = 1.0) -> PositionWeights:
-    """Per-position weights for a weighted ranking loss.
+def make_weights(t, pi, scheme: str, tau_T: float = 1.0) -> np.ndarray:
+    """Per-position weights for a weighted ranking loss, first pick first.
 
     teacher-softmax      softmax(t / tau_T) read off in ranking order
     uniform              1/C at every position
@@ -359,7 +350,7 @@ def make_weights(t, pi, scheme: str, tau_T: float = 1.0) -> PositionWeights:
         alpha = _plistmle_weights(c)
     else:
         raise ValueError(f"unknown weight scheme {scheme!r}")
-    return PositionWeights(alpha=alpha, scheme=scheme)
+    return alpha
 
 
 def _ascending_weights(
@@ -368,7 +359,7 @@ def _ascending_weights(
     """Weights aligned with the ascending evaluation order (first pick last)."""
     n, c = t.shape
     if scheme == "teacher-softmax":
-        return np.take_along_axis(softmax(t, temperature=tau_T, axis=-1), asc, axis=1)
+        return np.take_along_axis(softmax(t, temperature=tau_T), asc, axis=1)
     if scheme == "uniform":
         return np.full((n, c), 1.0 / c)
     if scheme == "onehot-first":
@@ -470,7 +461,7 @@ def pld_gradient_closed_form(s, pi, alpha) -> np.ndarray:
     s = as_finite_vector(s, "logits")
     c = s.shape[0]
     pi = as_ranking(pi, c)
-    w = alpha.alpha if isinstance(alpha, PositionWeights) else np.asarray(alpha, dtype=np.float64)
+    w = np.asarray(alpha, dtype=np.float64)
     if w.shape != (c,):
         raise ValueError(f"expected {c} weights, got shape {w.shape}")
     if (w < 0).any() or not np.isfinite(w).all():
@@ -569,8 +560,8 @@ def student_teacher_kl(s_batch, t_batch) -> float:
     t = as_finite_matrix(t_batch, "teacher logits")
     if s.shape != t.shape:
         raise ValueError(f"shape mismatch: student {s.shape} vs teacher {t.shape}")
-    logq = log_softmax(s, axis=-1)
-    logp = log_softmax(t, axis=-1)
+    logq = log_softmax(s)
+    logp = log_softmax(t)
     p = np.exp(logp)
     return float((p * (logp - logq)).sum(axis=1).mean())
 
@@ -582,36 +573,36 @@ def evaluate_loss(config: DistillLossConfig, s_batch, t_batch, labels) -> LossRe
     and teacher rows (the gradient is chained through the student's
     transform), ``teacher-only`` z-scores just the teacher.
     """
-    cfg = config.validate()
     s = as_finite_matrix(s_batch, "student logits")
-    t = as_finite_matrix(t_batch, "teacher logits") if cfg.needs_teacher else None
+    t = as_finite_matrix(t_batch, "teacher logits") if config.needs_teacher else None
 
     s_in = s
     chain = False
-    if cfg.standardize == "both":
+    if config.standardize == "both":
         s_in = standardize_rows(s)
         chain = True
         if t is not None:
             t = standardize_rows(t)
-    elif cfg.standardize == "teacher-only" and t is not None:
+    elif config.standardize == "teacher-only" and t is not None:
         t = standardize_rows(t)
 
-    if cfg.kind == "ce":
+    if config.kind == "ce":
         res = ce_loss(s_in, labels)
-    elif cfg.kind == "ls":
-        res = ls_loss(s_in, labels, cfg.ls_epsilon)
-    elif cfg.kind == "kd":
-        res = kd_loss(s_in, t, labels, cfg.ce_mix, cfg.kd_temperature, cfg.divergence)
-    elif cfg.kind == "dist":
+    elif config.kind == "ls":
+        res = ls_loss(s_in, labels, config.ls_epsilon)
+    elif config.kind == "kd":
+        res = kd_loss(s_in, t, labels, config.ce_mix, config.kd_temperature, config.divergence)
+    elif config.kind == "dist":
         res = dist_loss(
-            s_in, t, labels, cfg.ce_mix, cfg.dist_beta, cfg.dist_gamma, cfg.kd_temperature
+            s_in, t, labels, config.ce_mix, config.dist_beta, config.dist_gamma,
+            config.kd_temperature,
         )
-    elif cfg.kind == "listmle":
+    elif config.kind == "listmle":
         res = pld_loss(s_in, t, labels, scheme="uniform")
-    elif cfg.kind == "plistmle":
+    elif config.kind == "plistmle":
         res = pld_loss(s_in, t, labels, scheme="plistmle-exponential")
     else:  # pld
-        res = pld_loss(s_in, t, labels, tau_T=cfg.teacher_temperature, scheme=cfg.pld_scheme)
+        res = pld_loss(s_in, t, labels, tau_T=config.teacher_temperature, scheme=config.pld_scheme)
 
     if chain:
         return LossResult(res.loss, _standardize_vjp(s, res.grad), res.rows)

@@ -68,11 +68,12 @@ def as_labels(labels, n_classes: int, n_rows: int | None = None) -> np.ndarray:
     return arr
 
 
-def softmax(v, temperature: float = 1.0, axis: int = -1) -> np.ndarray:
-    """Temperature-scaled softmax along ``axis``, via max-subtraction.
+def softmax(v, temperature: float = 1.0) -> np.ndarray:
+    """Temperature-scaled softmax of each row (the last axis), via
+    max-subtraction.
 
-    Output entries are nonnegative and sum to 1 along ``axis`` (entries more
-    than ~745 nats below the max underflow to exactly 0).
+    Output rows are nonnegative and sum to 1 (entries more than ~745 nats
+    below the row max underflow to exactly 0).
     """
     if not (np.isfinite(temperature) and temperature > 0):
         raise ValueError(f"temperature must be positive, got {temperature}")
@@ -82,14 +83,15 @@ def softmax(v, temperature: float = 1.0, axis: int = -1) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("softmax input contains non-finite entries")
     z = arr if temperature == 1.0 else arr / temperature
-    z = z - z.max(axis=axis, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
-def log_softmax(v, temperature: float = 1.0, axis: int = -1) -> np.ndarray:
-    """log(softmax(v / temperature)); never produces -inf from underflow alone."""
+def log_softmax(v, temperature: float = 1.0) -> np.ndarray:
+    """log(softmax(v / temperature)) of each row; never produces -inf from
+    underflow alone."""
     if not (np.isfinite(temperature) and temperature > 0):
         raise ValueError(f"temperature must be positive, got {temperature}")
     arr = np.asarray(v, dtype=np.float64)
@@ -98,42 +100,30 @@ def log_softmax(v, temperature: float = 1.0, axis: int = -1) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("log_softmax input contains non-finite entries")
     z = arr / temperature
-    z = z - z.max(axis=axis, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def log_sum_exp(v, axis: int | None = None):
-    """log(sum(exp(v))) with max-subtraction.
-
-    With ``axis=None`` the input must be a vector and a float is returned;
-    otherwise the reduction runs along ``axis``.
-    """
-    if axis is None:
-        arr = as_finite_vector(v, "log_sum_exp input")
-        m = arr.max()
-        return float(m + np.log(np.exp(arr - m).sum()))
-    arr = np.asarray(v, dtype=np.float64)
-    m = arr.max(axis=axis, keepdims=True)
-    out = m + np.log(np.exp(arr - m).sum(axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+def log_sum_exp(v) -> float:
+    """log(sum(exp(v))) of a vector, with max-subtraction."""
+    arr = as_finite_vector(v, "log_sum_exp input")
+    m = arr.max()
+    return float(m + np.log(np.exp(arr - m).sum()))
 
 
-def log_cumsum_exp(v, axis: int = -1) -> np.ndarray:
-    """Running log-sum-exp: out[..., j] = log(sum_{i<=j} exp(v[..., i])).
+def log_cumsum_exp(v) -> np.ndarray:
+    """Running log-sum-exp of each row: out[..., j] = log(sum_{i<=j} exp(v[..., i])).
 
     Entries equal to -inf are permitted (they contribute nothing); all other
     entries must be finite.  Each prefix is accurate to ~1e-13 relative even
     when later entries dominate earlier ones by hundreds of nats.
     """
     arr = np.asarray(v, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("log_cumsum_exp of an empty array")
+    if arr.ndim == 0 or arr.size == 0:
+        raise ValueError("log_cumsum_exp needs a nonempty array of at least one axis")
     if np.isnan(arr).any() or (arr == np.inf).any():
         raise ValueError("log_cumsum_exp input contains NaN or +inf")
-    arr = np.moveaxis(arr, axis, -1)
-    flat = arr.reshape(-1, arr.shape[-1])
-    out = _log_cumsum_exp_rows(flat).reshape(arr.shape)
-    return np.moveaxis(out, -1, axis)
+    return _log_cumsum_exp_rows(arr.reshape(-1, arr.shape[-1])).reshape(arr.shape)
 
 
 def _log_cumsum_exp_rows(x: np.ndarray) -> np.ndarray:
@@ -169,32 +159,25 @@ def _log_cumsum_exp_rows(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def argsort_stable(v, descending: bool = False, axis: int = -1) -> np.ndarray:
-    """Argsort with deterministic ties: equal values keep lower index first.
+def argsort_stable(v, descending: bool = False) -> np.ndarray:
+    """Argsort of each row (the last axis) with deterministic ties: equal
+    values keep lower index first.
 
-    Works on the last axis of any array.  Uses the default (unstable) sort
-    and re-sorts only the rows that actually contain duplicates, which is
-    substantially faster on float data where ties are rare.
+    Uses the default (unstable) sort and re-sorts only the rows that actually
+    contain duplicates, which is substantially faster on float data where
+    ties are rare.
     """
     key = np.asarray(v, dtype=np.float64)
-    if key.size == 0:
-        raise ValueError("argsort_stable of an empty array")
+    if key.ndim == 0 or key.size == 0:
+        raise ValueError("argsort_stable needs a nonempty array of at least one axis")
     if descending:
         key = -key
-    order = np.argsort(key, axis=axis)
-    # the tie scan and the re-sort see the sort axis last; swapping it with
-    # the last axis is cheap and its own inverse
-    sorted_vals = np.take_along_axis(key, order, axis=axis).swapaxes(axis, -1)
+    order = np.argsort(key, axis=-1)
+    sorted_vals = np.take_along_axis(key, order, axis=-1)
     ties = (sorted_vals[..., 1:] == sorted_vals[..., :-1]).any(axis=-1)
-    if not np.any(ties):
-        return order
-    if key.ndim == 1:
-        return np.argsort(key, axis=axis, kind="stable")
-    flat_key = key.swapaxes(axis, -1).reshape(-1, key.shape[axis])
-    flat_order = order.swapaxes(axis, -1).reshape(-1, key.shape[axis])
-    rows = np.flatnonzero(ties.ravel())
-    flat_order[rows] = np.argsort(flat_key[rows], axis=-1, kind="stable")
-    return flat_order.reshape(sorted_vals.shape).swapaxes(axis, -1)
+    if ties.any():
+        order[ties] = np.argsort(key[ties], axis=-1, kind="stable")
+    return order
 
 
 def make_rng(seed: int) -> np.random.Generator:

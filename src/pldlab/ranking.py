@@ -17,18 +17,11 @@ import itertools
 
 import numpy as np
 
-from .numerics import (
-    argsort_stable,
-    as_finite_matrix,
-    as_finite_vector,
-    as_labels,
-    log_cumsum_exp,
-)
+from .numerics import argsort_stable, as_finite_vector, log_cumsum_exp
 
 __all__ = [
     "EnumerationLimitError",
     "teacher_optimal_permutation",
-    "teacher_optimal_permutations",
     "ascending_rankings",
     "as_ranking",
     "pl_log_likelihood",
@@ -84,14 +77,6 @@ def ascending_rankings(t_batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(argsort_stable(key)[:, ::-1])
 
 
-def teacher_optimal_permutations(t_batch, labels) -> np.ndarray:
-    """Row-wise teacher-optimal rankings for a batch of teacher logits."""
-    t = as_finite_matrix(t_batch, "teacher logits")
-    n, c = t.shape
-    y = as_labels(labels, c, n)
-    return ascending_rankings(t, y)[:, ::-1].copy()
-
-
 def pl_log_likelihood(s, pi) -> float:
     """Log-probability of drawing the full ranking ``pi`` from logits ``s``.
 
@@ -120,7 +105,7 @@ def pl_enumerate(s) -> list[tuple[tuple[int, ...], float]]:
         )
     perms = np.array(list(itertools.permutations(range(c))), dtype=np.int64)
     s_perm = s[perms]
-    suffix = log_cumsum_exp(s_perm[:, ::-1], axis=-1)[:, ::-1]
+    suffix = log_cumsum_exp(s_perm[:, ::-1])[:, ::-1]
     log_probs = (s_perm - suffix).sum(axis=1)
     probs = np.exp(log_probs)
     return [(tuple(int(i) for i in p), float(q)) for p, q in zip(perms, probs)]

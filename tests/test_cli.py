@@ -300,6 +300,10 @@ class TestInvalidValues:
             ("bench", {"kinds": ["foo"]}),
             ("landscape", {"span": float("inf")}),  # written as Infinity
             ("gradcheck", {"threshold": float("nan")}),
+            ("gradcheck", {"losses": []}),  # would check 0 cells and pass
+            ("gradcheck", {"losses": ["pld"], "teacher_temperatures": []}),
+            ("bench", {"sizes": []}),  # would write a header-only bench.csv
+            ("bench", {"kinds": []}),
         ],
     )
     def test_usage_error_before_anything_is_written(self, tmp_path, capsys, command, doc):

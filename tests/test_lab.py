@@ -1,5 +1,6 @@
 """Pipeline tests: data generation, MLP backprop, optimizer, training loops."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -227,11 +228,15 @@ class TestOptimizer:
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(ValueError):
-            OptimizerConfig(learning_rate=0.0).validate()
+            OptimizerConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
-            OptimizerConfig(beta1=1.0).validate()
+            OptimizerConfig(beta1=1.0)
         with pytest.raises(ValueError):
-            OptimizerConfig(weight_decay=-0.1).validate()
+            OptimizerConfig(weight_decay=-0.1)
+        with pytest.raises(ValueError):
+            dataclasses.replace(OptimizerConfig(), eps=0.0)
+        with pytest.raises(ValueError):
+            OptimizerConfig(weight_decay=float("nan"))
 
 
 class TestTrainTeacher:

@@ -1,5 +1,7 @@
 """Loss-surface slice tests: geometry contracts, convexity, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -90,13 +92,17 @@ class TestMakeSlice:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            SliceSpec(resolution=2).validate()
+            SliceSpec(resolution=2)
         with pytest.raises(ValueError):
-            SliceSpec(n_classes=1).validate()
+            SliceSpec(n_classes=1)
         with pytest.raises(ValueError):
-            SliceSpec(temperatures=(0.0,)).validate()
+            SliceSpec(temperatures=(0.0,))
         with pytest.raises(ValueError):
-            SliceSpec(loss_kinds=("pld", "mystery")).validate()
+            SliceSpec(loss_kinds=("pld", "mystery"))
+        with pytest.raises(ValueError):
+            dataclasses.replace(SliceSpec(), resolution=2)
+        with pytest.raises(ValueError):
+            SliceSpec(temperatures=(float("nan"),))
 
 
 def one_point_loss(kind, s, t, y, temperature):

@@ -56,7 +56,7 @@ class TestSoftmax:
     def test_matrix_rows(self):
         rng = make_rng(3)
         m = rng.normal(size=(6, 9))
-        out = softmax(m, axis=-1)
+        out = softmax(m)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(out[2], softmax(m[2]), rtol=1e-15)
 
@@ -123,7 +123,7 @@ class TestLogCumsumExp:
 
     def test_mixed_rows_choose_paths_independently(self):
         rows = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 1000.0]])
-        out = log_cumsum_exp(rows, axis=-1)
+        out = log_cumsum_exp(rows)
         for i in range(2):
             np.testing.assert_allclose(out[i], naive_log_cumsum_exp(rows[i]), rtol=1e-13)
 
@@ -132,7 +132,7 @@ class TestLogCumsumExp:
         np.testing.assert_allclose(log_cumsum_exp(v), [-np.inf, 0.0, 0.0, math.log(2.0)])
 
     def test_all_neg_inf_row(self):
-        out = log_cumsum_exp(np.array([[-np.inf, -np.inf], [0.0, 0.0]]), axis=-1)
+        out = log_cumsum_exp(np.array([[-np.inf, -np.inf], [0.0, 0.0]]))
         assert np.isneginf(out[0]).all()
         np.testing.assert_allclose(out[1], [0.0, math.log(2.0)], atol=1e-15)
 
@@ -145,6 +145,8 @@ class TestLogCumsumExp:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             log_cumsum_exp(np.array([]))
+        with pytest.raises(ValueError):
+            log_cumsum_exp(np.float64(1.0))
 
 
 class TestArgsortStable:
@@ -160,6 +162,12 @@ class TestArgsortStable:
 
     def test_singleton(self):
         np.testing.assert_array_equal(argsort_stable([5.0]), [0])
+
+    def test_empty_and_scalar_rejected(self):
+        with pytest.raises(ValueError):
+            argsort_stable(np.array([]))
+        with pytest.raises(ValueError):
+            argsort_stable(np.float64(1.0))
 
     def test_is_permutation_and_monotone(self):
         rng = make_rng(8)
@@ -182,7 +190,7 @@ class TestArgsortStable:
 
     def test_batched_rows_with_and_without_ties(self):
         m = np.array([[3.0, 1.0, 2.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-        got = argsort_stable(m, descending=True, axis=-1)
+        got = argsort_stable(m, descending=True)
         for i in range(3):
             np.testing.assert_array_equal(got[i], np.argsort(-m[i], kind="stable"))
 

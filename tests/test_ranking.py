@@ -10,10 +10,10 @@ from pldlab.numerics import make_rng
 from pldlab.ranking import (
     ENUMERATION_MAX_CLASSES,
     EnumerationLimitError,
+    ascending_rankings,
     pl_enumerate,
     pl_log_likelihood,
     teacher_optimal_permutation,
-    teacher_optimal_permutations,
 )
 
 
@@ -67,7 +67,7 @@ class TestTeacherOptimalPermutation:
         rng = make_rng(11)
         t = rng.normal(size=(20, 7))
         y = rng.integers(0, 7, size=20)
-        batch = teacher_optimal_permutations(t, y)
+        batch = ascending_rankings(t, y)[:, ::-1]
         for i in range(20):
             np.testing.assert_array_equal(batch[i], teacher_optimal_permutation(t[i], y[i]))
 
