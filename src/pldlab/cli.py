@@ -330,6 +330,10 @@ def cmd_losscheck(out_dir: str, seed: int, instances: int, max_c: int) -> int:
 def _gradcheck_variants(losses: list, teacher_temperatures: list) -> list:
     if not losses:
         raise ValueError("losses must be nonempty")
+    if len(set(losses)) < len(losses):
+        raise ValueError(f"losses repeat an entry: {losses}")
+    if len({float(t) for t in teacher_temperatures}) < len(teacher_temperatures):
+        raise ValueError(f"teacher_temperatures repeat an entry: {teacher_temperatures}")
     if "pld" in losses and not teacher_temperatures:
         raise ValueError("pld needs at least one teacher temperature")
     variants = []
@@ -482,7 +486,6 @@ def cmd_distill(out_dir: str, teacher, loss_cfg, **training) -> int:
 
 
 def _landscape_args(config: dict) -> dict:
-    _seed(config["seed"])
     spec = {**config, "temperatures": tuple(config["temperatures"]),
             "loss_kinds": tuple(config["loss_kinds"])}
     return {"spec": _build(SliceSpec, spec, "landscape")}

@@ -61,16 +61,11 @@ def init_mlp(layer_sizes, rng: np.random.Generator) -> MlpModel:
     return MlpModel(layer_sizes=sizes, weights=weights, biases=biases)
 
 
-def _check_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
+def forward_trace(model: MlpModel, x):
+    """Logits plus the post-activation output of every layer (input first)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.in_dim:
         raise ValueError(f"expected input of shape (N, {model.in_dim}), got {x.shape}")
-    return x
-
-
-def forward_trace(model: MlpModel, x):
-    """Logits plus the post-activation output of every layer (input first)."""
-    x = _check_input(model, x)
     acts = [x]
     h = x
     last = len(model.weights) - 1
@@ -87,13 +82,14 @@ def forward(model: MlpModel, x) -> np.ndarray:
     return forward_trace(model, x)[0]
 
 
-def backward(model: MlpModel, x, grad_logits):
+def backward(model: MlpModel, grad_logits, acts):
     """Parameter gradients for an upstream gradient on the logits.
 
+    ``acts`` is the activation list ``forward_trace`` returned for the batch
+    whose logits ``grad_logits`` belongs to; no forward pass runs here.
     Returns one (dW, db) pair per layer, matching the shapes of
     ``model.weights`` and ``model.biases``.
     """
-    _, acts = forward_trace(model, x)
     g = np.asarray(grad_logits, dtype=np.float64)
     if g.shape != acts[-1].shape:
         raise ValueError(f"gradient shape {g.shape} != logits shape {acts[-1].shape}")

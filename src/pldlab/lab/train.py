@@ -15,7 +15,7 @@ import numpy as np
 from ..losses import DistillLossConfig, ce_loss, evaluate_loss, student_teacher_kl
 from ..numerics import make_rng
 from .data import SyntheticDataset
-from .model import MlpModel, backward, forward, init_mlp
+from .model import MlpModel, backward, forward, forward_trace, init_mlp
 from .optim import OptimizerConfig, init_optimizer, step_optimizer
 
 __all__ = [
@@ -52,9 +52,12 @@ class DistillRun:
     step_losses: list = field(default_factory=list)
 
 
-def accuracy(model: MlpModel, features, labels) -> float:
-    logits = forward(model, features)
+def _top1(logits, labels) -> float:
     return float((np.argmax(logits, axis=1) == np.asarray(labels)).mean())
+
+
+def accuracy(model: MlpModel, features, labels) -> float:
+    return _top1(forward(model, features), labels)
 
 
 def _run_epochs(
@@ -83,26 +86,23 @@ def _run_epochs(
             xb = dataset.train_features[idx]
             yb = dataset.train_labels[idx]
             with np.errstate(over="ignore", invalid="ignore"):
-                logits = forward(model, xb)
+                logits, acts = forward_trace(model, xb)
             if not np.isfinite(logits).all():
                 raise TrainingFailure(f"non-finite logits at epoch {epoch}")
             result = loss_fn(logits, xb, yb)
             if not np.isfinite(result.loss):
                 raise TrainingFailure(f"non-finite loss at epoch {epoch}")
-            grads = backward(model, xb, result.grad)
+            grads = backward(model, result.grad, acts)
             step_optimizer(params, [g for layer in grads for g in layer], state, opt_cfg)
             epoch_losses.append(result.loss)
             step_losses.append(result.loss)
-        test_top1 = accuracy(model, dataset.test_features, dataset.test_labels)
-        kl = None
-        if test_teacher_logits is not None:
-            student_test = forward(model, dataset.test_features)
-            kl = student_teacher_kl(student_test, test_teacher_logits)
+        test_logits = forward(model, dataset.test_features)
+        kl = None if teacher is None else student_teacher_kl(test_logits, test_teacher_logits)
         records.append(
             EpochRecord(
                 epoch=epoch,
                 train_loss=float(np.mean(epoch_losses)),
-                test_top1=test_top1,
+                test_top1=_top1(test_logits, dataset.test_labels),
                 teacher_kl=kl,
             )
         )

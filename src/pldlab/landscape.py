@@ -66,9 +66,15 @@ class SliceSpec:
             raise ValueError("span must be positive")
         if not self.temperatures or any(not t > 0 for t in self.temperatures):
             raise ValueError("temperatures must be positive")
+        if len({float(t) for t in self.temperatures}) < len(self.temperatures):
+            raise ValueError(f"temperatures repeat an entry: {self.temperatures}")
         bad = [k for k in self.loss_kinds if k not in SLICE_LOSS_KINDS]
         if bad or not self.loss_kinds:
             raise ValueError(f"unsupported slice loss kinds: {bad}")
+        if len(set(self.loss_kinds)) < len(self.loss_kinds):
+            raise ValueError(f"loss kinds repeat an entry: {self.loss_kinds}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)

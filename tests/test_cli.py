@@ -304,6 +304,11 @@ class TestInvalidValues:
             ("gradcheck", {"losses": ["pld"], "teacher_temperatures": []}),
             ("bench", {"sizes": []}),  # would write a header-only bench.csv
             ("bench", {"kinds": []}),
+            ("gradcheck", {"losses": ["ce", "ce"]}),  # would write each ce row twice
+            ("gradcheck", {"losses": ["pld"], "teacher_temperatures": [1.0, 1.0]}),
+            ("landscape", {"temperatures": [1.0, 1]}),  # would write 18 rows per 9 points
+            ("landscape", {"loss_kinds": ["pld", "kd", "pld"]}),
+            ("landscape", {"seed": -1}),
         ],
     )
     def test_usage_error_before_anything_is_written(self, tmp_path, capsys, command, doc):

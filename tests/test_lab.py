@@ -2,10 +2,13 @@
 
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import pldlab.lab.model as lab_model
+import pldlab.lab.train as lab_train
 from pldlab.lab import (
     METRICS_HEADER,
     MlpModel,
@@ -15,6 +18,7 @@ from pldlab.lab import (
     backward,
     distill_student,
     forward,
+    forward_trace,
     init_mlp,
     init_optimizer,
     load_model,
@@ -102,7 +106,7 @@ class TestMlp:
         rng = make_rng(62)
         model = init_mlp([4, 6, 3], rng)
         x = rng.normal(size=(5, 4))
-        grads = backward(model, x, np.zeros((5, 3)))
+        grads = backward(model, np.zeros((5, 3)), forward_trace(model, x)[1])
         for dw, db in grads:
             np.testing.assert_array_equal(dw, np.zeros_like(dw))
             np.testing.assert_array_equal(db, np.zeros_like(db))
@@ -112,7 +116,7 @@ class TestMlp:
         model = init_mlp([4, 3], rng)
         x = rng.normal(size=(7, 4))
         g = rng.normal(size=(7, 3))
-        (dw, db), = backward(model, x, g)
+        (dw, db), = backward(model, g, forward_trace(model, x)[1])
         np.testing.assert_allclose(dw, x.T @ g, rtol=1e-13)
         np.testing.assert_allclose(db, g.sum(axis=0), rtol=1e-13)
 
@@ -128,7 +132,7 @@ class TestMlp:
             return ce_loss(forward(m, x), y).loss
 
         res = ce_loss(forward(model, x), y)
-        grads = backward(model, x, res.grad)
+        grads = backward(model, res.grad, forward_trace(model, x)[1])
         h = 1e-6
         checked = 0
         for layer in range(2):
@@ -151,8 +155,8 @@ class TestMlp:
         model = init_mlp([4, 3], rng)
         with pytest.raises(ValueError):
             forward(model, np.zeros((2, 5)))
-        with pytest.raises(ValueError):
-            backward(model, np.zeros((2, 4)), np.zeros((2, 5)))
+        with pytest.raises(ValueError, match="gradient shape"):
+            backward(model, np.zeros((2, 5)), forward_trace(model, np.zeros((2, 4)))[1])
 
 
 class TestSerialization:
@@ -353,3 +357,29 @@ class TestDistillStudent:
         assert lines[0] == METRICS_HEADER
         assert len(lines) == 3
         assert lines[1].startswith("0,")
+
+
+@pytest.mark.parametrize("kind", [None, "pld"])
+def test_one_student_forward_per_training_row(monkeypatch, small_setup, kind):
+    """Each epoch pushes every training row through the student once (the
+    backward pass reuses that trace) and the test split through it once."""
+    ds, teacher = small_setup
+    real = lab_model.forward_trace
+    rows = []
+
+    def counting(model, x):
+        if model is not teacher:
+            rows.append(len(x))
+        return real(model, x)
+
+    for module in (lab_model, lab_train):
+        monkeypatch.setattr(module, "forward_trace", counting)
+    epochs, batch = 3, 32
+    if kind is None:
+        train_teacher(ds, [4, 8, 4], epochs=epochs, seed=0, batch_size=batch)
+    else:
+        distill_student(ds, teacher, [4, 8, 4], default_loss_config(kind), epochs=epochs,
+                        seed=0, batch_size=batch)
+    n_train, n_test = len(ds.train_features), len(ds.test_features)
+    assert n_train % batch == 0 and n_test != batch
+    assert Counter(rows) == {batch: epochs * n_train // batch, n_test: epochs}

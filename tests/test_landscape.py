@@ -103,6 +103,16 @@ class TestMakeSlice:
             dataclasses.replace(SliceSpec(), resolution=2)
         with pytest.raises(ValueError):
             SliceSpec(temperatures=(float("nan"),))
+        with pytest.raises(ValueError):
+            SliceSpec(temperatures=(1.0, 1))
+        with pytest.raises(ValueError):
+            SliceSpec(loss_kinds=("pld", "pld"))
+        with pytest.raises(ValueError):
+            SliceSpec(seed=-1)
+        with pytest.raises(ValueError):
+            SliceSpec(seed=2**64)
+        with pytest.raises(ValueError):
+            dataclasses.replace(SliceSpec(), seed=-1)
 
 
 def one_point_loss(kind, s, t, y, temperature):

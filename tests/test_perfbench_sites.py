@@ -1,7 +1,8 @@
 """The benchmark's layer trace wraps pldlab functions by module and name.
 
 A refactor that drops or moves a traced name breaks only traced benchmark
-runs, so every name the trace looks up is checked here.
+runs, so every name the trace looks up is checked here, and a tiny teacher
+run and distill run go through the installed trace.
 """
 
 import importlib
@@ -9,14 +10,21 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_every_traced_site_resolves(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_site_resolves(tracing):
     missing = [
         (module, attr)
         for module, attr, *_ in tracing.SITES
@@ -24,3 +32,35 @@ def test_every_traced_site_resolves(monkeypatch):
     ]
     assert missing == []
     assert hasattr(importlib.import_module("pldlab.numerics"), "_FAST_LCSE_SPAN")
+
+
+def test_traced_training_runs_and_nests(tracing):
+    from pldlab import cli
+    from pldlab.lab import make_blobs
+    from pldlab.losses import default_loss_config
+
+    ds = make_blobs(n_classes=4, dim=4, train_per_class=40, test_per_class=20, seed=0)
+    epochs = 2
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:  # the wrapped names are looked up on the module at call time
+        (teacher, _), _ = tracer.run("train_teacher", lambda: cli.train_teacher(
+            ds, [4, 8, 4], epochs=epochs, seed=0, batch_size=32))
+        tracer.run("distill_pld", lambda: cli.distill_student(
+            ds, teacher, [4, 8, 4], default_loss_config("pld"), epochs=epochs, seed=0,
+            batch_size=32))
+    finally:
+        tracer.uninstall()
+
+    assert tracer.stack == []
+    for command, root in (("train_teacher", "lab.train.train_teacher"),
+                          ("distill_pld", "lab.train.distill_student")):
+        stats = tracer.total_stats(command)
+        assert stats[root].calls == 1
+        assert stats["lab.model.backward"].rows == epochs * len(ds.train_features)
+        assert tracer.edges[(root, "lab.model.backward")] == stats["lab.model.backward"].calls
+        assert tracer.edges[(root, "lab.optim.step_optimizer")] > 0
+    assert tracer.edges[("lab.train.distill_student", "losses.evaluate_loss")] > 0
+    assert tracer.edges[("losses.evaluate_loss", "losses.pld_loss")] > 0
+    parents = {p for p, c in tracer.edges if c == "lab.model.forward_trace"}
+    assert parents == {"lab.model.forward"}
