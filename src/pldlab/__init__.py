@@ -46,6 +46,7 @@ from .losses import (
     make_weights,
     pld_gradient_closed_form,
     pld_loss,
+    pld_targets,
     standardize_rows,
     student_teacher_kl,
 )
@@ -76,6 +77,7 @@ __all__ = [
     "make_weights",
     "pld_gradient_closed_form",
     "pld_loss",
+    "pld_targets",
     "standardize_rows",
     "student_teacher_kl",
 ]

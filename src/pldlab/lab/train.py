@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..losses import DistillLossConfig, ce_loss, evaluate_loss, student_teacher_kl
+from ..losses import DistillLossConfig, ce_loss, evaluate_loss, pld_targets, standardize_rows
+from ..losses import student_teacher_kl
 from ..numerics import make_rng
 from .data import SyntheticDataset
 from .model import MlpModel, backward, forward, forward_trace, init_mlp
@@ -34,7 +35,7 @@ METRICS_HEADER = "epoch,train_loss,test_top1,teacher_kl"
 
 
 class TrainingFailure(RuntimeError):
-    """Raised when a training run produces a non-finite loss."""
+    """Raised when a training run produces non-finite logits or a non-finite loss."""
 
 
 @dataclass(frozen=True)
@@ -68,28 +69,24 @@ def _run_epochs(
     epochs: int,
     batch_size: int,
     rng: np.random.Generator,
-    teacher: MlpModel | None,
+    teacher_test: np.ndarray | None,
 ):
     n = dataset.train_features.shape[0]
     params = [p for layer in zip(model.weights, model.biases) for p in layer]
     state = init_optimizer(params)
     records = []
     step_losses = []
-    test_teacher_logits = (
-        forward(teacher, dataset.test_features) if teacher is not None else None
-    )
     for epoch in range(epochs):
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            xb = dataset.train_features[idx]
             yb = dataset.train_labels[idx]
             with np.errstate(over="ignore", invalid="ignore"):
-                logits, acts = forward_trace(model, xb)
+                logits, acts = forward_trace(model, dataset.train_features[idx])
             if not np.isfinite(logits).all():
                 raise TrainingFailure(f"non-finite logits at epoch {epoch}")
-            result = loss_fn(logits, xb, yb)
+            result = loss_fn(logits, idx, yb)
             if not np.isfinite(result.loss):
                 raise TrainingFailure(f"non-finite loss at epoch {epoch}")
             grads = backward(model, result.grad, acts)
@@ -97,7 +94,7 @@ def _run_epochs(
             epoch_losses.append(result.loss)
             step_losses.append(result.loss)
         test_logits = forward(model, dataset.test_features)
-        kl = None if teacher is None else student_teacher_kl(test_logits, test_teacher_logits)
+        kl = None if teacher_test is None else student_teacher_kl(test_logits, teacher_test)
         records.append(
             EpochRecord(
                 epoch=epoch,
@@ -126,13 +123,23 @@ def train_teacher(
     rng = make_rng(seed)
     model = init_mlp(layer_sizes, rng)
 
-    def loss_fn(logits, xb, yb):
+    def loss_fn(logits, idx, yb):
         return ce_loss(logits, yb)
 
     records, _ = _run_epochs(
-        dataset, model, loss_fn, opt_cfg, epochs, batch_size, rng, teacher=None
+        dataset, model, loss_fn, opt_cfg, epochs, batch_size, rng, teacher_test=None
     )
     return model, records
+
+
+def _teacher_logits(teacher: MlpModel, x, block: int) -> np.ndarray:
+    """Logits in index-order blocks of ``block`` rows (a batch's GEMM shape), all finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = [forward(teacher, x[lo : lo + block]) for lo in range(0, len(x), block)]
+    logits = np.concatenate(blocks)
+    if not np.isfinite(logits).all():
+        raise TrainingFailure("non-finite teacher logits")
+    return logits
 
 
 def distill_student(
@@ -145,18 +152,28 @@ def distill_student(
     seed: int = 0,
     batch_size: int = 128,
 ) -> DistillRun:
-    """Train a student under any configured objective against a frozen teacher."""
+    """Train a student under any configured objective against a frozen
+    teacher, whose logits and pld targets are computed once per run."""
     opt_cfg = opt_cfg or OptimizerConfig()
     check_distill(dataset, teacher, layer_sizes, loss_cfg, batch_size)
     rng = make_rng(seed)
     model = init_mlp(layer_sizes, rng)
 
-    def loss_fn(logits, xb, yb):
-        t_logits = forward(teacher, xb) if loss_cfg.needs_teacher else logits
-        return evaluate_loss(loss_cfg, logits, t_logits, yb)
+    test_t = _teacher_logits(teacher, dataset.test_features, len(dataset.test_features))
+    train_t = targets = None
+    if loss_cfg.needs_teacher:
+        train_t = _teacher_logits(teacher, dataset.train_features, batch_size)
+    if loss_cfg.pld_args is not None:
+        ranked = train_t if loss_cfg.standardize == "none" else standardize_rows(train_t)
+        targets = pld_targets(ranked, dataset.train_labels, **loss_cfg.pld_args)
+
+    def loss_fn(logits, idx, yb):
+        if targets is not None:
+            return evaluate_loss(loss_cfg, logits, None, yb, targets=[a[idx] for a in targets])
+        return evaluate_loss(loss_cfg, logits, None if train_t is None else train_t[idx], yb)
 
     records, step_losses = _run_epochs(
-        dataset, model, loss_fn, opt_cfg, epochs, batch_size, rng, teacher=teacher
+        dataset, model, loss_fn, opt_cfg, epochs, batch_size, rng, teacher_test=test_t
     )
     return DistillRun(records=records, model=model, step_losses=step_losses)
 

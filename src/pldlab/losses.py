@@ -52,6 +52,7 @@ __all__ = [
     "kd_loss",
     "dist_loss",
     "make_weights",
+    "pld_targets",
     "pld_loss",
     "pld_gradient_closed_form",
     "standardize_rows",
@@ -131,6 +132,13 @@ class DistillLossConfig:
     def needs_teacher(self) -> bool:
         """Whether the loss reads teacher logits (every kind but ce and ls)."""
         return self.kind not in ("ce", "ls")
+
+    @property
+    def pld_args(self) -> dict | None:
+        """pld_loss's tau_T and scheme for listmle, plistmle and pld, else None."""
+        tau = self.teacher_temperature if self.kind == "pld" else 1.0
+        scheme = {"listmle": "uniform", "plistmle": "plistmle-exponential", "pld": self.pld_scheme}
+        return {"tau_T": tau, "scheme": scheme[self.kind]} if self.kind in scheme else None
 
 
 def default_loss_config(kind: str, **overrides) -> DistillLossConfig:
@@ -335,22 +343,10 @@ def make_weights(t, pi, scheme: str, tau_T: float = 1.0) -> np.ndarray:
     plistmle-exponential normalized 2^(C-k) - 1 decay
     """
     t = as_finite_vector(t, "teacher logits")
-    c = t.shape[0]
-    pi = as_ranking(pi, c)
-    if scheme == "teacher-softmax":
-        if not tau_T > 0:
-            raise ValueError(f"tau_T must be positive, got {tau_T}")
-        alpha = softmax(t, temperature=tau_T)[pi]
-    elif scheme == "uniform":
-        alpha = np.full(c, 1.0 / c)
-    elif scheme == "onehot-first":
-        alpha = np.zeros(c)
-        alpha[0] = 1.0
-    elif scheme == "plistmle-exponential":
-        alpha = _plistmle_weights(c)
-    else:
-        raise ValueError(f"unknown weight scheme {scheme!r}")
-    return alpha
+    pi = as_ranking(pi, t.shape[0])
+    if scheme == "teacher-softmax" and not tau_T > 0:
+        raise ValueError(f"tau_T must be positive, got {tau_T}")
+    return _ascending_weights(t[None], pi[None, ::-1], scheme, tau_T)[0, ::-1]
 
 
 def _ascending_weights(
@@ -371,12 +367,30 @@ def _ascending_weights(
     raise ValueError(f"unknown weight scheme {scheme!r}")
 
 
+def pld_targets(t_batch, labels, tau_T: float = 1.0, scheme: str = "teacher-softmax"):
+    """Teacher side of pld_loss as an (order, weights) pair of N x C arrays:
+    per row the teacher-optimal ranking reversed (label last) and the weights
+    aligned with it.  Rows gathered from them by index are the ``targets`` of
+    pld_loss and evaluate_loss for those rows, with the same result bits.
+    """
+    if not tau_T > 0:
+        raise ValueError(f"tau_T must be positive, got {tau_T}")
+    t = as_finite_matrix(t_batch, "teacher logits")
+    return _pld_targets(t, as_labels(labels, t.shape[1], t.shape[0]), tau_T, scheme)
+
+
+def _pld_targets(t, y, tau_T, scheme):
+    asc = ascending_rankings(t, y)
+    return asc, _ascending_weights(t, asc, scheme, tau_T)
+
+
 def pld_loss(
     s_batch,
     t_batch,
     labels,
     tau_T: float = 1.0,
     scheme: str = "teacher-softmax",
+    targets=None,
 ) -> LossResult:
     """Weighted ranking likelihood of the teacher-optimal permutation.
 
@@ -384,6 +398,7 @@ def pld_loss(
     - s[pi*_k]] where pi* puts the true label first and the remaining
     classes in descending teacher-logit order.  The student logits enter
     unsoftened; ``tau_T`` only reshapes the teacher-softmax weights.
+    Given ``targets`` (pld_targets of these rows), t_batch, labels, tau_T and scheme are unread.
 
     Evaluation sorts each row ascending (label last) and takes one running
     log-sum-exp, so prefix j of the sorted row is exactly the suffix term
@@ -391,26 +406,29 @@ def pld_loss(
     suffix normalizer, d/ds_i = exp(s_i) * sum_{k <= rank(i)} alpha_k / Z_k
     - alpha_rank(i), accumulated in log space so nothing overflows.
     """
-    if not tau_T > 0:
+    if targets is None and not tau_T > 0:
         raise ValueError(f"tau_T must be positive, got {tau_T}")
     s = as_finite_matrix(s_batch, "student logits")
-    t = as_finite_matrix(t_batch, "teacher logits")
-    if s.shape != t.shape:
-        raise ValueError(f"shape mismatch: student {s.shape} vs teacher {t.shape}")
     n, c = s.shape
-    y = as_labels(labels, c, n)
+    if targets is None:
+        t = as_finite_matrix(t_batch, "teacher logits")
+        if s.shape != t.shape:
+            raise ValueError(f"shape mismatch: student {s.shape} vs teacher {t.shape}")
+        y = as_labels(labels, c, n)
+    elif any(np.shape(a) != s.shape for a in targets):
+        raise ValueError(f"pld targets must both have the student shape {s.shape}")
 
     # The kernel allocates a dozen row-aligned temporaries; keeping a chunk's
-    # working set near L2 size roughly halves large-batch wall time.
+    # working set near L2 size roughly halves large-batch wall time (targets too).
     rows_per_chunk = max(16, _PLD_CHUNK_ELEMENTS // c)
     grad = np.empty_like(s)
     rows = np.empty(n)
     total = 0.0
     for lo in range(0, n, rows_per_chunk):
-        hi = min(n, lo + rows_per_chunk)
-        total += _pld_chunk(
-            s[lo:hi], t[lo:hi], y[lo:hi], tau_T, scheme, grad[lo:hi], rows[lo:hi]
-        )
+        part = slice(lo, lo + rows_per_chunk)
+        asc, w = (_pld_targets(t[part], y[part], tau_T, scheme) if targets is None
+                  else (targets[0][part], targets[1][part]))
+        total += _pld_apply(s[part], asc, w, grad[part], rows[part])
     grad /= n
     return LossResult(total / n, grad, rows)
 
@@ -418,13 +436,10 @@ def pld_loss(
 _PLD_CHUNK_ELEMENTS = 1 << 15
 
 
-def _pld_chunk(s, t, y, tau_T, scheme, grad_out, rows_out) -> float:
-    """Loss sum over one chunk of rows; writes the per-row losses and the
-    unscaled gradient rows."""
-    asc = ascending_rankings(t, y)
+def _pld_apply(s, asc, w, grad_out, rows_out) -> float:
+    """Loss sum over one chunk of rows in evaluation order ``asc`` with
+    weights ``w``; writes the per-row losses and the unscaled gradient rows."""
     s_perm = np.take_along_axis(s, asc, axis=1)
-    w = _ascending_weights(t, asc, scheme, tau_T)
-
     lc = _log_cumsum_exp_rows(s_perm)
     # flat sum and row sums of one product, so the loss keeps its bits
     terms = w * (lc - s_perm)
@@ -566,25 +581,24 @@ def student_teacher_kl(s_batch, t_batch) -> float:
     return float((p * (logp - logq)).sum(axis=1).mean())
 
 
-def evaluate_loss(config: DistillLossConfig, s_batch, t_batch, labels) -> LossResult:
+def evaluate_loss(config: DistillLossConfig, s_batch, t_batch, labels, targets=None) -> LossResult:
     """Dispatch a fully-resolved loss config on one batch.
 
     Handles the optional logit standardization: ``both`` z-scores student
     and teacher rows (the gradient is chained through the student's
-    transform), ``teacher-only`` z-scores just the teacher.
+    transform), ``teacher-only`` z-scores just the teacher.  A ranking kind
+    may take ``targets``, the pld_targets under ``config.pld_args`` of the
+    rows' teacher logits as standardized, in place of ``t_batch``.
     """
+    if targets is not None and config.pld_args is None:
+        raise ValueError(f"loss kind {config.kind!r} takes no pld targets")
     s = as_finite_matrix(s_batch, "student logits")
-    t = as_finite_matrix(t_batch, "teacher logits") if config.needs_teacher else None
-
-    s_in = s
-    chain = False
-    if config.standardize == "both":
-        s_in = standardize_rows(s)
-        chain = True
-        if t is not None:
+    t = None
+    if config.needs_teacher and targets is None:
+        t = as_finite_matrix(t_batch, "teacher logits")
+        if config.standardize != "none":
             t = standardize_rows(t)
-    elif config.standardize == "teacher-only" and t is not None:
-        t = standardize_rows(t)
+    s_in = standardize_rows(s) if config.standardize == "both" else s
 
     if config.kind == "ce":
         res = ce_loss(s_in, labels)
@@ -597,13 +611,9 @@ def evaluate_loss(config: DistillLossConfig, s_batch, t_batch, labels) -> LossRe
             s_in, t, labels, config.ce_mix, config.dist_beta, config.dist_gamma,
             config.kd_temperature,
         )
-    elif config.kind == "listmle":
-        res = pld_loss(s_in, t, labels, scheme="uniform")
-    elif config.kind == "plistmle":
-        res = pld_loss(s_in, t, labels, scheme="plistmle-exponential")
-    else:  # pld
-        res = pld_loss(s_in, t, labels, tau_T=config.teacher_temperature, scheme=config.pld_scheme)
+    else:  # listmle, plistmle, pld
+        res = pld_loss(s_in, t, labels, **config.pld_args, targets=targets)
 
-    if chain:
+    if config.standardize == "both":
         return LossResult(res.loss, _standardize_vjp(s, res.grad), res.rows)
     return res

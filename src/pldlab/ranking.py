@@ -69,12 +69,12 @@ def ascending_rankings(t_batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
     This is exactly the reverse of the teacher-optimal ranking, so position
     j holds the class ranked C-1-j.  Inputs are assumed validated.  The
     teacher-optimal ranking is the tie-stable ascending sort of the negated
-    logits with the label's key at -inf; reversing it keeps the lower class
-    index first among equals once read back in ranking order.
+    logits with the label's key at -inf; a reversed view of it keeps the
+    lower class index first among equals once read back in ranking order.
     """
     key = -t_batch
     key[np.arange(t_batch.shape[0]), labels] = -np.inf
-    return np.ascontiguousarray(argsort_stable(key)[:, ::-1])
+    return argsort_stable(key)[:, ::-1]
 
 
 def pl_log_likelihood(s, pi) -> float:

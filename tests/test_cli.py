@@ -209,6 +209,20 @@ class TestDistill:
         cfg = write_config(tmp_path, "c.json", doc)
         assert run(["distill", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("kind", ["ce", "kd", "pld"])
+    def test_overflowing_teacher_is_training_failure(self, teacher_dir, tmp_path, kind):
+        """A teacher whose forward overflows loads fine; the run fails before
+        its first step with exit 4 and writes no model or metrics."""
+        doc = json.loads((teacher_dir / "teacher.json").read_text())
+        doc["weights"][0] = [w * 1e3 for w in doc["weights"][0]]
+        doc["weights"][-1] = [w * 1e308 for w in doc["weights"][-1]]
+        (tmp_path / "teacher.json").write_text(json.dumps(doc))
+        cfg = write_config(tmp_path, "c.json", self.distill_doc(tmp_path, kind=kind))
+        out = tmp_path / "o"
+        assert run(["distill", "--config", cfg, "--out", str(out)]) == EXIT_TRAINING
+        assert not (out / "student.json").exists()
+        assert not (out / "metrics.csv").exists()
+
     @pytest.mark.parametrize(
         "change, code",
         [

@@ -30,7 +30,7 @@ from pldlab.lab import (
     step_optimizer,
     train_teacher,
 )
-from pldlab.losses import default_loss_config
+from pldlab.losses import STANDARDIZE_MODES, default_loss_config, standardize_rows
 from pldlab.numerics import make_rng
 
 SMALL = dict(n_classes=4, dim=4, train_per_class=40, test_per_class=20)
@@ -383,3 +383,61 @@ def test_one_student_forward_per_training_row(monkeypatch, small_setup, kind):
     n_train, n_test = len(ds.train_features), len(ds.test_features)
     assert n_train % batch == 0 and n_test != batch
     assert Counter(rows) == {batch: epochs * n_train // batch, n_test: epochs}
+
+
+@pytest.mark.parametrize("kind", ["kd", "dist", "pld"])
+def test_teacher_forwarded_once_per_split(monkeypatch, small_setup, kind):
+    """The frozen teacher sees each train row once, in batch-size blocks, and
+    the test split once, however many epochs run."""
+    ds, teacher = small_setup
+    real = lab_train.forward
+    rows = []
+
+    def counting(model, x):
+        if model is teacher:
+            rows.append(len(x))
+        return real(model, x)
+
+    monkeypatch.setattr(lab_train, "forward", counting)
+    batch = 32
+    distill_student(ds, teacher, [4, 8, 4], default_loss_config(kind), epochs=3, seed=0,
+                    batch_size=batch)
+    n_train, n_test = len(ds.train_features), len(ds.test_features)
+    assert sum(rows) == n_train + n_test
+    assert Counter(rows) == {batch: n_train // batch, n_test: 1}
+
+
+@pytest.mark.parametrize("standardize", STANDARDIZE_MODES)
+@pytest.mark.parametrize("kind", ["listmle", "plistmle", "pld"])
+def test_ranking_targets_come_from_the_standardized_teacher(
+    monkeypatch, small_setup, kind, standardize
+):
+    """A ranking distill builds its targets once, from the train split's
+    teacher logits as the config standardizes them, under the config's
+    temperature and scheme."""
+    ds, teacher = small_setup
+    real = lab_train.pld_targets
+    calls = []
+
+    def spy(t, labels, **kwargs):
+        calls.append((t.copy(), labels, kwargs))
+        return real(t, labels, **kwargs)
+
+    monkeypatch.setattr(lab_train, "pld_targets", spy)
+    cfg = default_loss_config(kind, standardize=standardize, teacher_temperature=0.5)
+    distill_student(ds, teacher, [4, 8, 4], cfg, epochs=2, seed=0, batch_size=32)
+    t = forward(teacher, ds.train_features)
+    [(table, labels, kwargs)] = calls
+    np.testing.assert_allclose(
+        table, t if standardize == "none" else standardize_rows(t), rtol=1e-12, atol=1e-12
+    )
+    np.testing.assert_array_equal(labels, ds.train_labels)
+    assert kwargs == cfg.pld_args
+
+
+def test_overflowing_teacher_fails_before_training(small_setup):
+    ds, teacher = small_setup
+    weights = [*teacher.weights[:-1], teacher.weights[-1] * 1e308]
+    loud = MlpModel(layer_sizes=teacher.layer_sizes, weights=weights, biases=teacher.biases)
+    with pytest.raises(TrainingFailure, match="teacher"):
+        distill_student(ds, loud, [4, 8, 4], default_loss_config("pld"), epochs=1, seed=0)

@@ -9,6 +9,7 @@ import pytest
 from pldlab.losses import (
     DistillLossConfig,
     LOSS_KINDS,
+    WEIGHT_SCHEMES,
     ce_loss,
     default_loss_config,
     dist_loss,
@@ -19,6 +20,7 @@ from pldlab.losses import (
     make_weights,
     pld_gradient_closed_form,
     pld_loss,
+    pld_targets,
     standardize_rows,
     student_teacher_kl,
 )
@@ -217,6 +219,30 @@ class TestMakeWeights:
 
 
 class TestPldLoss:
+    @pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
+    def test_apply_on_targets_equals_pld_loss(self, scheme):
+        """Targets of a 60-row table, gathered for 40 shuffled rows, reproduce
+        pld_loss bit for bit over three 16-row chunks (C = 2048)."""
+        rng = make_rng(40)
+        table = rng.normal(size=(60, 2048))
+        labels = rng.integers(0, 2048, 60)
+        idx = rng.permutation(60)[:40]
+        s = 30.0 * rng.normal(size=(40, 2048))
+        order, weights = pld_targets(table, labels, 0.5, scheme)
+        res = pld_loss(s, None, None, targets=(order[idx], weights[idx]))
+        ref = pld_loss(s, table[idx], labels[idx], 0.5, scheme)
+        assert np.float64(res.loss).tobytes() == np.float64(ref.loss).tobytes()
+        assert res.grad.tobytes() == ref.grad.tobytes()
+        assert res.rows.tobytes() == ref.rows.tobytes()
+
+    def test_targets_shape_checked(self):
+        order, weights = pld_targets([[0.0, 1.0, 2.0]], [0])
+        with pytest.raises(ValueError, match="targets"):
+            pld_loss([[0.0, 1.0]], None, None, targets=(order, weights))
+        with pytest.raises(ValueError, match="targets"):
+            evaluate_loss(default_loss_config("kd"), [[0.0, 1.0, 2.0]], None, [0],
+                          targets=(order, weights))
+
     def test_two_class_analytic(self):
         res = pld_loss([[0.0, 0.0]], [[0.0, 0.0]], [0], tau_T=1.0)
         assert res.loss == pytest.approx(0.5 * math.log(2.0), abs=1e-14)
