@@ -349,9 +349,7 @@ def make_weights(t, pi, scheme: str, tau_T: float = 1.0) -> np.ndarray:
     return _ascending_weights(t[None], pi[None, ::-1], scheme, tau_T)[0, ::-1]
 
 
-def _ascending_weights(
-    t: np.ndarray, asc: np.ndarray, scheme: str, tau_T: float
-) -> np.ndarray:
+def _ascending_weights(t: np.ndarray, asc: np.ndarray, scheme: str, tau_T: float) -> np.ndarray:
     """Weights aligned with the ascending evaluation order (first pick last)."""
     n, c = t.shape
     if scheme == "teacher-softmax":
@@ -368,11 +366,9 @@ def _ascending_weights(
 
 
 def pld_targets(t_batch, labels, tau_T: float = 1.0, scheme: str = "teacher-softmax"):
-    """Teacher side of pld_loss as an (order, weights) pair of N x C arrays:
-    per row the teacher-optimal ranking reversed (label last) and the weights
-    aligned with it.  Rows gathered from them by index are the ``targets`` of
-    pld_loss and evaluate_loss for those rows, with the same result bits.
-    """
+    """Teacher side of pld_loss as N x C (order, weights): per row the teacher-optimal
+    ranking reversed (label last) and its weights.  Rows gathered from them by index are
+    the ``targets`` of pld_loss and evaluate_loss for those rows, with the same bits."""
     if not tau_T > 0:
         raise ValueError(f"tau_T must be positive, got {tau_T}")
     t = as_finite_matrix(t_batch, "teacher logits")
@@ -415,8 +411,14 @@ def pld_loss(
         if s.shape != t.shape:
             raise ValueError(f"shape mismatch: student {s.shape} vs teacher {t.shape}")
         y = as_labels(labels, c, n)
-    elif any(np.shape(a) != s.shape for a in targets):
-        raise ValueError(f"pld targets must both have the student shape {s.shape}")
+    else:  # checked once per call: order rows permute range(C), weights finite and >= 0
+        order, tw = np.asarray(targets[0]), np.asarray(targets[1], dtype=np.float64)
+        seen = np.zeros(s.shape, dtype=bool)
+        if order.shape == tw.shape == s.shape and order.dtype.kind in "iu":
+            if order.min() >= 0 and order.max() < c:
+                seen[np.arange(n)[:, None], order] = True
+        if not (seen.all() and tw.min() >= 0.0 and tw.max() < np.inf):
+            raise ValueError(f"pld targets need {s.shape} permutation rows, finite weights >= 0")
 
     # The kernel allocates a dozen row-aligned temporaries; keeping a chunk's
     # working set near L2 size roughly halves large-batch wall time (targets too).
@@ -427,7 +429,7 @@ def pld_loss(
     for lo in range(0, n, rows_per_chunk):
         part = slice(lo, lo + rows_per_chunk)
         asc, w = (_pld_targets(t[part], y[part], tau_T, scheme) if targets is None
-                  else (targets[0][part], targets[1][part]))
+                  else (order[part], tw[part]))
         total += _pld_apply(s[part], asc, w, grad[part], rows[part])
     grad /= n
     return LossResult(total / n, grad, rows)
@@ -596,8 +598,7 @@ def evaluate_loss(config: DistillLossConfig, s_batch, t_batch, labels, targets=N
     t = None
     if config.needs_teacher and targets is None:
         t = as_finite_matrix(t_batch, "teacher logits")
-        if config.standardize != "none":
-            t = standardize_rows(t)
+        t = t if config.standardize == "none" else standardize_rows(t)
     s_in = standardize_rows(s) if config.standardize == "both" else s
 
     if config.kind == "ce":

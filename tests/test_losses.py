@@ -243,6 +243,26 @@ class TestPldLoss:
             evaluate_loss(default_loss_config("kd"), [[0.0, 1.0, 2.0]], None, [0],
                           targets=(order, weights))
 
+    @pytest.mark.parametrize(
+        "order, weights",
+        [
+            ([[2, 0, 2]], [0.2, 0.3, 0.5]),  # repeated class
+            ([[3, 1, 0]], [0.2, 0.3, 0.5]),  # class out of range
+            ([[-1, 1, 0]], [0.2, 0.3, 0.5]),  # negative index would wrap
+            ([[2.0, 1.0, 0.0]], [0.2, 0.3, 0.5]),  # not integers
+            ([[2, 1, 0]], [0.2, np.nan, 0.5]),
+            ([[2, 1, 0]], [0.2, np.inf, 0.5]),
+            ([[2, 1, 0]], [0.2, -0.3, 0.5]),
+        ],
+    )
+    def test_malformed_targets_rejected(self, order, weights):
+        targets = (np.array(order), np.array([weights]))
+        s = [[0.5, -1.0, 2.0]]
+        with pytest.raises(ValueError, match="targets"):
+            pld_loss(s, None, None, targets=targets)
+        with pytest.raises(ValueError, match="targets"):
+            evaluate_loss(default_loss_config("pld"), s, None, [0], targets=targets)
+
     def test_two_class_analytic(self):
         res = pld_loss([[0.0, 0.0]], [[0.0, 0.0]], [0], tau_T=1.0)
         assert res.loss == pytest.approx(0.5 * math.log(2.0), abs=1e-14)

@@ -76,7 +76,7 @@ def test_rows_equal_single_row_losses(batch, case, standardize):
     assert abs(res.loss - res.rows.mean()) <= 1e-12 * abs(res.loss)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=50, derandomize=True, deadline=None)
 @given(
     batch=batches(min_rows=2),
     case=st.sampled_from(COUPLED),
