@@ -122,20 +122,22 @@ def point_loss(kind: str, s: np.ndarray, t: np.ndarray, y: int, temperature: flo
 
     ``s`` is R x C (a single point of shape (C,) counts as R = 1); every row
     shares the teacher logits ``t`` and label ``y``.  Returns the R per-row
-    losses from one kernel call.
+    losses from one kernel call on a stack of R one-row batches, which
+    softens or ranks the shared teacher row once.
     """
-    s2 = np.atleast_2d(s)
-    t2 = np.broadcast_to(t, s2.shape)
-    labels = np.full(s2.shape[0], int(y))
+    s3 = np.atleast_2d(s)[:, None, :]
+    t1, y1 = np.asarray(t, dtype=np.float64)[None], [int(y)]
     if kind == "pld":
-        return pld_loss(s2, t2, labels, tau_T=temperature).rows
-    if kind == "kd":
-        return kd_loss(s2, t2, labels, alpha=0.0, tau=temperature).rows
-    if kind == "dist":
-        return dist_loss(s2, t2, labels, alpha=0.0, beta=1.0, gamma=0.0, tau=temperature).rows
-    if kind == "ce":
-        return ce_loss(s2, labels).rows
-    raise ValueError(f"unsupported slice loss kind {kind!r}")
+        res = pld_loss(s3, t1, y1, tau_T=temperature)
+    elif kind == "kd":
+        res = kd_loss(s3, t1, y1, alpha=0.0, tau=temperature)
+    elif kind == "dist":
+        res = dist_loss(s3, t1, y1, alpha=0.0, beta=1.0, gamma=0.0, tau=temperature)
+    elif kind == "ce":
+        res = ce_loss(s3, y1)
+    else:
+        raise ValueError(f"unsupported slice loss kind {kind!r}")
+    return res.rows[:, 0]
 
 
 def make_slice(spec: SliceSpec) -> SliceGrid:

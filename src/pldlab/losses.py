@@ -7,6 +7,12 @@ interact, the per-row losses whose mean is the loss.  Gradients are what the
 finite-difference checker validates; none of the kernels rely on automatic
 differentiation.
 
+The student logits may also be a stack (..., N, C) of batches.  The one
+N x C teacher batch and the N labels broadcast over the leading axes, and
+the result holds one loss, gradient and set of rows per batch, so a stack
+is that many independent batches scored in one call.  ``grad_check``
+scores its perturbed copies of a batch this way.
+
 Loss family:
 
 * ``ce_loss`` / ``ls_loss``      -- hard-label cross-entropy, optionally
@@ -68,6 +74,7 @@ WEIGHT_SCHEMES = ("teacher-softmax", "uniform", "plistmle-exponential", "onehot-
 
 _PEARSON_EPS = 1e-8
 _STD_EPS = 1e-8
+_FD_STACK_ELEMENTS = 1 << 17  # logits per stacked loss call of grad_check
 
 
 @dataclass(frozen=True)
@@ -79,9 +86,14 @@ class LossResult:
     when rows are coupled (dist with an intra-class term, gamma > 0), so a
     row's loss is not defined on its own.  ``loss`` is always the kernel's
     own reduction, not recomputed from ``rows``.
+
+    For a stack (..., N, C) of batches, ``loss`` is an array of shape (...)
+    with one loss per batch, ``grad`` has the stack's shape and ``rows`` has
+    shape (..., N).  A batch's rows equal those of a call on that batch alone
+    bit for bit; its loss and gradient agree with that call to a few ulps.
     """
 
-    loss: float
+    loss: float | np.ndarray
     grad: np.ndarray
     rows: np.ndarray | None = None
 
@@ -149,6 +161,11 @@ def default_loss_config(kind: str, **overrides) -> DistillLossConfig:
     return DistillLossConfig(kind=kind, **overrides)
 
 
+def _per_batch(loss):
+    """A batch's reduced loss as a float; a stack's as one loss per batch."""
+    return loss if isinstance(loss, np.ndarray) else float(loss)
+
+
 def _onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     out = np.zeros((labels.shape[0], n_classes))
     out[np.arange(labels.shape[0]), labels] = 1.0
@@ -157,29 +174,29 @@ def _onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 def ce_loss(s_batch, labels) -> LossResult:
     """Cross-entropy on hard labels: mean of log-sum-exp(s) - s_y."""
-    s = as_finite_matrix(s_batch, "student logits")
-    n, c = s.shape
+    s = as_finite_matrix(s_batch, "student logits", stack=True)
+    n, c = s.shape[-2:]
     y = as_labels(labels, c, n)
     logq = log_softmax(s)
-    picked = logq[np.arange(n), y]
-    loss = float(-picked.mean())
+    picked = logq[..., np.arange(n), y]
+    loss = -picked.mean(axis=-1)
     grad = (np.exp(logq) - _onehot(y, c)) / n
-    return LossResult(loss, grad, -picked)
+    return LossResult(_per_batch(loss), grad, -picked)
 
 
 def ls_loss(s_batch, labels, epsilon: float) -> LossResult:
     """Cross-entropy against the label-smoothed target (1-eps)*onehot + eps/C."""
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
-    s = as_finite_matrix(s_batch, "student logits")
-    n, c = s.shape
+    s = as_finite_matrix(s_batch, "student logits", stack=True)
+    n, c = s.shape[-2:]
     y = as_labels(labels, c, n)
     target = (1.0 - epsilon) * _onehot(y, c) + epsilon / c
     logq = log_softmax(s)
-    sums = (target * logq).sum(axis=1)
-    loss = float(-sums.mean())
+    sums = (target * logq).sum(axis=-1)
+    loss = -sums.mean(axis=-1)
     grad = (np.exp(logq) - target) / n
-    return LossResult(loss, grad, -sums)
+    return LossResult(_per_batch(loss), grad, -sums)
 
 
 def kd_loss(
@@ -203,11 +220,11 @@ def kd_loss(
         raise ValueError(f"tau must be positive, got {tau}")
     if divergence not in DIVERGENCES:
         raise ValueError(f"unknown divergence {divergence!r}")
-    s = as_finite_matrix(s_batch, "student logits")
+    s = as_finite_matrix(s_batch, "student logits", stack=True)
     t = as_finite_matrix(t_batch, "teacher logits")
-    if s.shape != t.shape:
+    if s.shape[-2:] != t.shape:
         raise ValueError(f"shape mismatch: student {s.shape} vs teacher {t.shape}")
-    n, c = s.shape
+    n, c = t.shape
     y = as_labels(labels, c, n)
 
     logq = log_softmax(s, temperature=tau)
@@ -216,27 +233,28 @@ def kd_loss(
     p = np.exp(logp)
 
     if divergence == "forward-kl":
-        div = (p * (logp - logq)).sum(axis=1)
+        div = (p * (logp - logq)).sum(axis=-1)
         dgrad = (q - p) / tau
     elif divergence == "reverse-kl":
         r = logq - logp
-        div = (q * r).sum(axis=1)
-        dgrad = q * (r - (q * r).sum(axis=1, keepdims=True)) / tau
+        div = (q * r).sum(axis=-1)
+        dgrad = q * (r - (q * r).sum(axis=-1, keepdims=True)) / tau
     else:  # js
         logm = np.logaddexp(logp, logq) - np.log(2.0)
-        div = 0.5 * (p * (logp - logm)).sum(axis=1) + 0.5 * (q * (logq - logm)).sum(axis=1)
+        div = 0.5 * (p * (logp - logm)).sum(axis=-1) + 0.5 * (q * (logq - logm)).sum(axis=-1)
         v = 0.5 * (logq - logm)
-        dgrad = q * (v - (q * v).sum(axis=1, keepdims=True)) / tau
+        dgrad = q * (v - (q * v).sum(axis=-1, keepdims=True)) / tau
 
     hard = ce_loss(s, y)
-    loss = alpha * hard.loss + (1.0 - alpha) * tau**2 * float(div.mean())
+    loss = alpha * hard.loss + (1.0 - alpha) * tau**2 * div.mean(axis=-1)
     grad = alpha * hard.grad + (1.0 - alpha) * tau**2 * dgrad / n
     rows = alpha * hard.rows + (1.0 - alpha) * tau**2 * div
-    return LossResult(loss, grad, rows)
+    return LossResult(_per_batch(loss), grad, rows)
 
 
 def _pearson_terms(x: np.ndarray, ref: np.ndarray, axis: int):
-    """1 - Pearson along ``axis``: (mean residual, residuals, d(mean)/dx).
+    """1 - Pearson along ``axis`` (-1: each row, -2: each column of a batch):
+    (mean residual, residuals, d(mean)/dx), per batch of a stack ``x``.
 
     The denominator is floored at _PEARSON_EPS so near-constant slices stay
     finite; away from the floor the correlation (and its gradient) is the
@@ -250,11 +268,11 @@ def _pearson_terms(x: np.ndarray, ref: np.ndarray, axis: int):
     floored = base < _PEARSON_EPS
     denom = np.where(floored, _PEARSON_EPS, base)
     rho = (xc * rc).sum(axis=axis, keepdims=True) / denom
-    k = x.shape[1 - axis]  # number of residuals being averaged
-    residuals = (1.0 - rho).ravel()
+    k = x.shape[-3 - axis]  # number of residuals being averaged
+    residuals = (1.0 - rho).squeeze(axis)
     a_safe = np.where(floored, 1.0, a)
     dterm = -(rc / denom - np.where(floored, 0.0, rho * xc / a_safe)) / k
-    return float(residuals.mean()), residuals, dterm
+    return residuals.mean(axis=-1), residuals, dterm
 
 
 def dist_loss(
@@ -281,11 +299,11 @@ def dist_loss(
         raise ValueError("beta and gamma must be nonnegative")
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    s = as_finite_matrix(s_batch, "student logits")
+    s = as_finite_matrix(s_batch, "student logits", stack=True)
     t = as_finite_matrix(t_batch, "teacher logits")
-    if s.shape != t.shape:
+    if s.shape[-2:] != t.shape:
         raise ValueError(f"shape mismatch: student {s.shape} vs teacher {t.shape}")
-    n, c = s.shape
+    n, c = t.shape
     if c < 2:
         raise ValueError("dist loss needs at least 2 classes")
     if gamma > 0 and n < 2:
@@ -296,28 +314,28 @@ def dist_loss(
     qt = softmax(t, temperature=tau)
 
     loss = 0.0
-    rows = np.zeros(n)
+    rows = np.zeros(s.shape[:-1])
     dq = np.zeros_like(qs)
     if beta > 0:
-        inter, inter_rows, dinter = _pearson_terms(qs, qt, axis=1)
+        inter, inter_rows, dinter = _pearson_terms(qs, qt, axis=-1)
         loss += beta * inter
         rows += beta * inter_rows
         dq += beta * dinter
     if gamma > 0:
-        intra, _, dintra = _pearson_terms(qs, qt, axis=0)
+        intra, _, dintra = _pearson_terms(qs, qt, axis=-2)
         loss += gamma * intra
         rows = None  # the intra-class term couples the rows
         dq += gamma * dintra
 
     # pull dL/dq back through the tempered softmax rows
-    grad = qs * (dq - (qs * dq).sum(axis=1, keepdims=True)) / tau
+    grad = qs * (dq - (qs * dq).sum(axis=-1, keepdims=True)) / tau
 
     hard = ce_loss(s, y)
     loss += alpha * hard.loss
     grad = grad + alpha * hard.grad
     if rows is not None:
         rows += alpha * hard.rows
-    return LossResult(float(loss), grad, rows)
+    return LossResult(_per_batch(loss), grad, rows)
 
 
 def _plistmle_weights(n_classes: int) -> np.ndarray:
@@ -394,7 +412,8 @@ def pld_loss(
     - s[pi*_k]] where pi* puts the true label first and the remaining
     classes in descending teacher-logit order.  The student logits enter
     unsoftened; ``tau_T`` only reshapes the teacher-softmax weights.
-    Given ``targets`` (pld_targets of these rows), t_batch, labels, tau_T and scheme are unread.
+    Given ``targets`` (pld_targets of these rows, N x C, shared by every batch
+    of a stack), t_batch, labels, tau_T and scheme are unread.
 
     Evaluation sorts each row ascending (label last) and takes one running
     log-sum-exp, so prefix j of the sorted row is exactly the suffix term
@@ -404,35 +423,44 @@ def pld_loss(
     """
     if targets is None and not tau_T > 0:
         raise ValueError(f"tau_T must be positive, got {tau_T}")
-    s = as_finite_matrix(s_batch, "student logits")
-    n, c = s.shape
+    s = as_finite_matrix(s_batch, "student logits", stack=True)
+    n, c = s.shape[-2:]
     if targets is None:
         t = as_finite_matrix(t_batch, "teacher logits")
-        if s.shape != t.shape:
+        if s.shape[-2:] != t.shape:
             raise ValueError(f"shape mismatch: student {s.shape} vs teacher {t.shape}")
         y = as_labels(labels, c, n)
     else:  # checked once per call: order rows permute range(C), weights finite and >= 0
         order, tw = np.asarray(targets[0]), np.asarray(targets[1], dtype=np.float64)
-        seen = np.zeros(s.shape, dtype=bool)
-        if order.shape == tw.shape == s.shape and order.dtype.kind in "iu":
+        seen = np.zeros((n, c), dtype=bool)
+        if order.shape == tw.shape == (n, c) and order.dtype.kind in "iu":
             if order.min() >= 0 and order.max() < c:
                 seen[np.arange(n)[:, None], order] = True
         if not (seen.all() and tw.min() >= 0.0 and tw.max() < np.inf):
-            raise ValueError(f"pld targets need {s.shape} permutation rows, finite weights >= 0")
+            raise ValueError(f"pld targets need {(n, c)} permutation rows, finite weights >= 0")
+    built = targets is None and s.ndim == 2  # a batch's targets are built chunk by chunk
+    if s.ndim > 2:  # the batches of a stack share one teacher's targets, built once
+        if targets is None:
+            order, tw = _pld_targets(t, y, tau_T, scheme)
+        order, tw = (np.broadcast_to(a, s.shape).reshape(-1, c) for a in (order, tw))
 
     # The kernel allocates a dozen row-aligned temporaries; keeping a chunk's
     # working set near L2 size roughly halves large-batch wall time (targets too).
     rows_per_chunk = max(16, _PLD_CHUNK_ELEMENTS // c)
-    grad = np.empty_like(s)
-    rows = np.empty(n)
+    flat = s.reshape(-1, c)
+    grad = np.empty_like(flat)
+    rows = np.empty(flat.shape[0])
     total = 0.0
-    for lo in range(0, n, rows_per_chunk):
+    for lo in range(0, flat.shape[0], rows_per_chunk):
         part = slice(lo, lo + rows_per_chunk)
-        asc, w = (_pld_targets(t[part], y[part], tau_T, scheme) if targets is None
+        asc, w = (_pld_targets(t[part], y[part], tau_T, scheme) if built
                   else (order[part], tw[part]))
-        total += _pld_apply(s[part], asc, w, grad[part], rows[part])
+        total += _pld_apply(flat[part], asc, w, grad[part], rows[part])
     grad /= n
-    return LossResult(total / n, grad, rows)
+    if s.ndim == 2:
+        return LossResult(total / n, grad, rows)
+    rows = rows.reshape(s.shape[:-1])
+    return LossResult(rows.sum(axis=-1) / n, grad.reshape(s.shape), rows)
 
 
 _PLD_CHUNK_ELEMENTS = 1 << 15
@@ -498,24 +526,25 @@ def standardize_rows(batch) -> np.ndarray:
     """Row-wise z-score: subtract the row mean, divide by population std + eps.
 
     Constant rows map to all zeros (the eps guard keeps the division finite).
+    ``batch`` may be a stack (..., N, C) of batches.
     """
-    x = as_finite_matrix(batch, "logits")
-    if x.shape[1] < 2:
+    x = as_finite_matrix(batch, "logits", stack=True)
+    if x.shape[-1] < 2:
         raise ValueError("standardization needs at least 2 classes")
-    mu = x.mean(axis=1, keepdims=True)
-    sd = x.std(axis=1, keepdims=True)
+    mu = x.mean(axis=-1, keepdims=True)
+    sd = x.std(axis=-1, keepdims=True)
     return (x - mu) / (sd + _STD_EPS)
 
 
 def _standardize_vjp(x: np.ndarray, grad_z: np.ndarray) -> np.ndarray:
     """Pull a gradient in z = (x - mean) / (std + eps) back to x."""
-    c = x.shape[1]
-    mu = x.mean(axis=1, keepdims=True)
-    sd = x.std(axis=1, keepdims=True)
+    c = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    sd = x.std(axis=-1, keepdims=True)
     d = 1.0 / (sd + _STD_EPS)
     ctr = x - mu
-    gbar = grad_z.mean(axis=1, keepdims=True)
-    dot = (grad_z * ctr).sum(axis=1, keepdims=True)
+    gbar = grad_z.mean(axis=-1, keepdims=True)
+    dot = (grad_z * ctr).sum(axis=-1, keepdims=True)
     scale = np.where(sd > 0, d * d * dot / (c * np.where(sd > 0, sd, 1.0)), 0.0)
     return d * (grad_z - gbar) - scale * ctr
 
@@ -524,43 +553,55 @@ def grad_check(loss_fn, s0, h: float = 1e-5, floor: float = 1e-8) -> float:
     """Max per-coordinate relative error of the analytic gradient vs central
     differences.
 
-    ``loss_fn`` maps a logit array to a LossResult.  Differences at or below
-    the absolute ``floor`` count as exact: central differences carry roundoff
-    of order eps*|loss|/h (~1e-11 for unit-scale losses), which would
-    otherwise swamp the relative error on near-zero gradient coordinates.
+    ``loss_fn`` maps an N x C batch of logits to a LossResult, and a stack
+    (B, N, C) of such batches to one result with a loss per batch (and rows
+    per batch, when the batch's result has rows), as every loss kernel does.
+    Differences at or below the absolute ``floor`` count as exact: central
+    differences carry roundoff of order eps*|loss|/h (~1e-11 for unit-scale
+    losses), which would otherwise swamp the relative error on near-zero
+    gradient coordinates.
 
-    When the analytic result of an N x C batch carries per-row losses, each
-    loss call shifts one logit column in every row at once; row i of the two
-    shifted calls gives the central difference for coordinate (i, j) as
-    (rows_plus[i] - rows_minus[i]) / (2h) / N.  That takes 2C + 1 calls in
-    place of 2NC + 1.  A result without ``rows`` (coupled rows) gets one
-    pair of calls per coordinate.
+    Every coordinate gets one central difference with step ``h``.  The
+    perturbed copies of ``s0`` go to ``loss_fn`` as stacks of at most about
+    2^17 logits, so a check takes a few calls.  When the analytic result of
+    the batch carries per-row losses, each copy shifts one logit column in
+    every row at once; row i of the two copies shifted at column j gives the
+    central difference for coordinate (i, j) as (rows_plus[i] -
+    rows_minus[i]) / (2h) / N.  That takes 2C copies in place of 2NC.  A
+    result without ``rows`` (coupled rows) gets one pair of copies per
+    coordinate, read from their losses.
 
-    A non-finite difference or analytic entry scores inf, never exact.
+    A non-finite difference or analytic entry scores inf, never exact.  A
+    stacked result whose losses or rows do not broadcast to one per copy
+    raises ValueError.
     """
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
     if not floor >= 0:
         raise ValueError(f"floor must be nonnegative, got {floor}")
     s0 = np.asarray(s0, dtype=np.float64)
+    if s0.ndim < 2:
+        raise ValueError(f"grad_check needs an N x C batch, got shape {s0.shape}")
     base = loss_fn(s0)
     analytic = base.grad
-    fd = np.empty_like(s0)
-    if base.rows is not None and s0.ndim == 2:
-        n = s0.shape[0]
-        for j in range(s0.shape[1]):
-            sp = s0.copy()
-            sp[:, j] += h
-            sm = s0.copy()
-            sm[:, j] -= h
-            fd[:, j] = (loss_fn(sp).rows - loss_fn(sm).rows) / (2.0 * h) / n
-    else:
-        for idx in np.ndindex(*s0.shape):
-            sp = s0.copy()
-            sp[idx] += h
-            sm = s0.copy()
-            sm[idx] -= h
-            fd[idx] = (loss_fn(sp).loss - loss_fn(sm).loss) / (2.0 * h)
+    by_column = base.rows is not None and s0.ndim == 2
+    # flat indices of the coordinates each copy shifts: a column of every row
+    # (read from the rows), or one coordinate (read from the loss)
+    shifts = np.arange(s0.size).reshape(s0.shape).T if by_column else np.arange(s0.size)[:, None]
+    n = shifts.shape[1]
+    per_call = max(1, _FD_STACK_ELEMENTS // (2 * s0.size))
+    fd = np.empty(s0.shape)
+    for lo in range(0, len(shifts), per_call):
+        idx = shifts[lo : lo + per_call]
+        k = len(idx)
+        stack = np.repeat(s0.reshape(1, -1), 2 * k, axis=0)  # k copies up, then k down
+        copy = np.arange(k)[:, None]
+        stack[copy, idx] += h
+        stack[k + copy, idx] -= h
+        res = loss_fn(stack.reshape((2 * k,) + s0.shape))
+        got = res.rows if by_column else np.asarray(res.loss, dtype=np.float64)[..., None]
+        got = np.broadcast_to(np.asarray(got, dtype=np.float64), (2 * k, n))
+        fd.reshape(-1)[idx] = (got[:k] - got[k:]) / (2.0 * h) / n
     if not (np.isfinite(fd).all() and np.isfinite(analytic).all()):
         return float("inf")
     diff = np.abs(fd - analytic)
@@ -578,13 +619,18 @@ def student_teacher_kl(s_batch, t_batch) -> float:
     if s.shape != t.shape:
         raise ValueError(f"shape mismatch: student {s.shape} vs teacher {t.shape}")
     logq = log_softmax(s)
-    logp = log_softmax(t)
-    p = np.exp(logp)
-    return float((p * (logp - logq)).sum(axis=1).mean())
+    # 0 log 0 = 0: a class whose teacher probability is 0 adds nothing, also where
+    # a row spanning more than the float64 range gives it logp = -inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        logp = log_softmax(t)
+        p = np.exp(logp)
+        gap = np.where(p > 0, logp - logq, 0.0)
+    return float((p * gap).sum(axis=1).mean())
 
 
 def evaluate_loss(config: DistillLossConfig, s_batch, t_batch, labels, targets=None) -> LossResult:
-    """Dispatch a fully-resolved loss config on one batch.
+    """Dispatch a fully-resolved loss config on one batch, or on a stack of
+    batches (..., N, C) that share the N x C teacher batch and the labels.
 
     Handles the optional logit standardization: ``both`` z-scores student
     and teacher rows (the gradient is chained through the student's
@@ -594,7 +640,7 @@ def evaluate_loss(config: DistillLossConfig, s_batch, t_batch, labels, targets=N
     """
     if targets is not None and config.pld_args is None:
         raise ValueError(f"loss kind {config.kind!r} takes no pld targets")
-    s = as_finite_matrix(s_batch, "student logits")
+    s = as_finite_matrix(s_batch, "student logits", stack=True)
     t = None
     if config.needs_teacher and targets is None:
         t = as_finite_matrix(t_batch, "teacher logits")

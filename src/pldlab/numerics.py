@@ -39,11 +39,13 @@ def as_finite_vector(v, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def as_finite_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Validate and return ``m`` as a 2-D float64 array (finite, nonempty)."""
+def as_finite_matrix(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Validate and return ``m`` as a 2-D float64 array (finite, nonempty);
+    with ``stack`` also as a stack (..., N, C) of such matrices."""
     arr = np.asarray(m, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
+    if arr.ndim != 2 and not (stack and arr.ndim > 2):
+        kind = "2-D or a stack of 2-D arrays" if stack else "2-D"
+        raise ValueError(f"{name} must be {kind}, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must be nonempty")
     if not np.isfinite(arr).all():

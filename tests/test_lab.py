@@ -441,3 +441,17 @@ def test_overflowing_teacher_fails_before_training(small_setup):
     loud = MlpModel(layer_sizes=teacher.layer_sizes, weights=weights, biases=teacher.biases)
     with pytest.raises(TrainingFailure, match="teacher"):
         distill_student(ds, loud, [4, 8, 4], default_loss_config("pld"), epochs=1, seed=0)
+
+
+@pytest.mark.parametrize("kind", ["ce", "kd", "pld"])
+def test_teacher_wider_than_float64_range_gives_finite_teacher_kl(small_setup, kind):
+    """Finite teacher logits 2e308 apart: the classes the teacher gives
+    probability 0 add nothing to teacher_kl, which stays finite."""
+    ds, _ = small_setup
+    biases = [np.array([1e308, -1e308, 0.0, 0.0])]
+    wide = MlpModel(layer_sizes=(4, 4), weights=[np.zeros((4, 4))], biases=biases)
+    with np.errstate(over="ignore"):
+        run = distill_student(
+            ds, wide, [4, 8, 4], default_loss_config(kind), epochs=2, seed=0, batch_size=32
+        )
+    assert all(np.isfinite(rec.teacher_kl) for rec in run.records)

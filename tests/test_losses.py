@@ -504,7 +504,7 @@ class TestGradCheckHarness:
             return LossResult(good.loss, good.grad * 1.5, good.rows)
 
         err = grad_check(broken, s)
-        assert len(calls) == 2 * 6 + 1  # one pair of calls per column
+        assert len(calls) == 1 + 1  # the batch, then its 2 * 6 column-shifted copies in one stack
         assert err > 0.1
 
     def test_nan_gradient_on_the_column_path_is_not_exact(self):
@@ -525,6 +525,107 @@ class TestGradCheckHarness:
             return LossResult(loss, good.grad)  # no rows: one pair per coordinate
 
         assert grad_check(nan_away_from_start, np.array([[0.3, -0.2, 0.5]])) == np.inf
+
+    @staticmethod
+    def coupled_dist(t, y):
+        return lambda x: dist_loss(x, t, y, 0.1, 0.45, 0.45, 1.0)
+
+    def test_flags_a_wrong_gradient_on_the_coupled_path(self):
+        from pldlab.losses import LossResult
+
+        rng = make_rng(57)
+        s, t, y = random_batch(rng, 8, 5)
+        exact, shapes = self.coupled_dist(t, y), []
+
+        def broken(x):
+            shapes.append(x.shape)
+            good = exact(x)
+            return LossResult(good.loss, good.grad * 1.5)
+
+        assert grad_check(exact, s) < 1e-6
+        assert grad_check(broken, s) > 0.1
+        assert shapes == [(8, 5), (2 * 8 * 5, 8, 5)]  # the batch, then all its copies
+
+    def test_nan_difference_on_the_coupled_path_is_not_exact(self):
+        from pldlab.losses import LossResult
+
+        rng = make_rng(58)
+        s, t, y = random_batch(rng, 8, 5)
+        exact = self.coupled_dist(t, y)
+
+        def nan_at_one_copy(x):
+            good = exact(x)
+            if x.ndim == 2:
+                return good
+            loss = good.loss.copy()
+            loss[17] = np.nan
+            return LossResult(loss, good.grad)
+
+        assert grad_check(nan_at_one_copy, s) == np.inf
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_one_central_difference_per_coordinate(self, coupled):
+        """The copies are s0 shifted by +h and by -h: at one coordinate each
+        (coupled rows), or at one column of every row, each column once."""
+        rng = make_rng(59)
+        s, t, y = random_batch(rng, 3, 4)
+        h, stacks = 1e-3, []
+
+        def record(x):
+            stacks.append(x)
+            return dist_loss(x, t, y, 0.1, 0.45, 0.45 if coupled else 0.0, 1.0)
+
+        grad_check(record, s, h=h)
+        (copies,) = stacks[1:]
+        masks = np.eye(s.size).reshape(-1, *s.shape)
+        if not coupled:
+            masks = np.stack([np.outer(np.ones(3), e) for e in np.eye(4)])
+        k = len(masks)
+        assert copies.shape == (2 * k, *s.shape)
+        for mask, up, down in zip(masks, copies[:k], copies[k:]):
+            np.testing.assert_array_equal(up, np.where(mask == 1, s + h, s))
+            np.testing.assert_array_equal(down, np.where(mask == 1, s - h, s))
+
+    def test_copies_go_in_a_few_bounded_stacks(self):
+        rng = make_rng(60)
+        s, t, y = random_batch(rng, 8, 100)
+        sizes = []
+
+        def record(x):
+            sizes.append(x.size)
+            return pld_loss(x, t, y)
+
+        assert grad_check(record, s) < 1e-6
+        assert sizes[0] == s.size and len(sizes) == 1 + 2  # 200 column copies of 800 logits
+        assert sum(sizes[1:]) == 2 * 100 * s.size and max(sizes[1:]) <= 1 << 17
+
+    def test_malformed_stack_raises(self):
+        from pldlab.losses import LossResult
+
+        rng = make_rng(61)
+        s, t, y = random_batch(rng, 4, 6)
+        bad = np.stack([s, s])
+        bad[1, 2, 3] = np.nan
+        for kernel in (lambda x: ce_loss(x, y), lambda x: kd_loss(x, t, y),
+                       lambda x: dist_loss(x, t, y), lambda x: pld_loss(x, t, y)):
+            with pytest.raises(ValueError):
+                kernel(bad)  # non-finite
+            with pytest.raises(ValueError):
+                kernel(np.stack([s, s])[..., :5])  # trailing shape not the teacher's (or labels')
+            with pytest.raises(ValueError):
+                kernel(np.stack([s, s]).reshape(2, 6, 4))
+
+        def short_rows(x):
+            good = pld_loss(x, t, y)
+            return LossResult(good.loss, good.grad, good.rows[..., :-1])
+
+        def long_losses(x):
+            good = dist_loss(x, t, y)
+            return LossResult(np.append(good.loss, 0.0), good.grad)
+
+        for fn in (short_rows, long_losses):
+            with pytest.raises(ValueError):
+                grad_check(fn, s)
 
 
 class TestStudentTeacherKl:
@@ -549,6 +650,28 @@ class TestStudentTeacherKl:
             q = np.exp(s[i]) / np.exp(s[i]).sum()
             total += sum(p[j] * math.log(p[j] / q[j]) for j in range(5))
         assert student_teacher_kl(s, t) == pytest.approx(total / 4, abs=1e-12)
+
+    def test_teacher_row_wider_than_float64_range(self):
+        """A class whose teacher probability is 0 adds nothing (0 log 0 = 0),
+        also when its teacher log-probability overflows to -inf."""
+        s = np.array([[0.5, -0.25, 0.0], [0.1, 0.2, 0.3]])
+        t = np.array([[1e308, -1e308, 0.0], [1.0, 2.0, 3.0]])
+        logq = s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+        kl = student_teacher_kl(s, t)
+        assert np.isfinite(kl)
+        wide_row = -logq[0, 0]
+        assert kl == pytest.approx((wide_row + student_teacher_kl(s[1:], t[1:])) / 2, rel=1e-12)
+
+    def test_rows_with_positive_probabilities_keep_their_bits(self):
+        rng = make_rng(62)
+        s = rng.normal(size=(6, 9)) * 4
+        t = rng.normal(size=(6, 9)) * 4
+        logq = s - s.max(axis=1, keepdims=True)
+        logq = logq - np.log(np.exp(logq).sum(axis=1, keepdims=True))
+        logp = t - t.max(axis=1, keepdims=True)
+        logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
+        plain = float((np.exp(logp) * (logp - logq)).sum(axis=1).mean())
+        assert student_teacher_kl(s, t) == plain
 
     def test_nonnegative(self):
         rng = make_rng(52)

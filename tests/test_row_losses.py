@@ -1,7 +1,9 @@
-"""Per-row losses: each row equals a one-row call, and coupled rows carry none."""
+"""Per-row losses: each row equals a one-row call, and coupled rows carry none.
+A stack of batches scores like its batches called one by one."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pldlab.losses import (
@@ -124,3 +126,39 @@ def test_targets_path_equals_plain_path(batch, case, standardize, tiny_tau, extr
         if standardize == "none":
             same_bits(pld_loss(s_k, None, None, targets=targets),
                       pld_loss(s_k, t, y, **cfg.pld_args))
+
+
+# A stacked batch's loss and gradient lie within this many units in the last
+# place of the batch called on its own: of the loss, and of the batch's largest
+# gradient entry.  (The rows match bit for bit.)
+STACK_ULPS = 4
+
+
+@pytest.mark.parametrize("case", SEPARABLE + COUPLED, ids=str)
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(batch=batches(), standardize=st.sampled_from(STANDARDIZE_MODES))
+def test_stack_scores_like_its_batches(case, batch, standardize):
+    """(3, N, C) stacks sharing one teacher batch and its labels.  pld picks
+    its gradient tail per chunk of rows, so a stack keeps to one tail: log
+    space after a shift of 1500, and linear space with every logit within
+    +-400."""
+    s, t, y, tau = batch
+    assume(case not in COUPLED or s.shape[0] >= 2)
+    cfg = config(*case, standardize, tau)
+    plain = np.stack([s, -s[::-1], 0.5 * s])
+    for stack in [plain + 1500.0] + ([plain] if np.abs(s).max() < 400.0 else []):
+        res = evaluate_loss(cfg, stack, t, y)
+        assert res.loss.shape == (3,) and res.grad.shape == stack.shape
+        for b, s_b in enumerate(stack):
+            one = evaluate_loss(cfg, s_b, t, y)
+            if one.rows is None:
+                assert res.rows is None
+            else:
+                assert res.rows[b].tobytes() == one.rows.tobytes()
+            assert abs(res.loss[b] - one.loss) <= STACK_ULPS * np.spacing(abs(one.loss))
+            ulp = np.spacing(abs(one.grad).max())
+            assert (abs(res.grad[b] - one.grad) <= STACK_ULPS * ulp).all()
+        if cfg.pld_args is not None:  # the stack shares the teacher's targets, built once
+            ranked = t if standardize == "none" else standardize_rows(t)
+            targets = pld_targets(ranked, y, **cfg.pld_args)
+            same_bits(evaluate_loss(cfg, stack, None, y, targets=targets), res)
