@@ -11,8 +11,9 @@ pure distillation terms (no cross-entropy mix), and dist treats each grid
 point as a batch of one row, so only its inter-class term is active.
 
 Every loss on the slice is row-separable, so a whole (loss, temperature)
-grid is one batched kernel call with one row per grid point; each value is
-bit for bit the loss of that point evaluated on its own.  The convexity
+grid is one kernel call on a stack of one-row batches, one per grid point,
+that share the anchor; each value is bit for bit the loss of that point
+evaluated on its own.  The convexity
 probe likewise evaluates all of its points in one call.
 """
 
