@@ -5,6 +5,13 @@ and produces logits.  Initial weights and biases for a layer with fan_in
 inputs are drawn uniformly from [-1/sqrt(fan_in), 1/sqrt(fan_in)], layer by
 layer (weights row-major, then biases), from the caller's generator.
 
+A model keeps every parameter in one contiguous float64 vector,
+``model.params``, laid out layer by layer as the row-major weights and then
+the biases.  ``weights[l]`` and ``biases[l]`` are C-contiguous views into
+it, so a write through either one is a write to the vector, and an optimizer
+step on the vector updates every layer.  ``backward`` writes its gradient in
+the same layout.
+
 Models serialize to a versioned JSON document: layer sizes plus row-major
 weight and bias arrays.
 """
@@ -12,7 +19,7 @@ weight and bias arrays.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,11 +41,45 @@ __all__ = [
 MODEL_FORMAT_VERSION = 1
 
 
+def _layer_views(flat: np.ndarray, sizes: tuple):
+    """(weights, biases): per-layer C-contiguous views into ``flat``."""
+    weights, biases = [], []
+    lo = 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        hi = lo + fan_in * fan_out
+        weights.append(flat[lo:hi].reshape(fan_in, fan_out))
+        biases.append(flat[hi : hi + fan_out])
+        lo = hi + fan_out
+    return weights, biases
+
+
 @dataclass
 class MlpModel:
+    """Layer sizes and parameters.
+
+    Construction copies the given weights (``weights[l]`` of shape
+    ``(layer_sizes[l], layer_sizes[l+1])``) and biases into one new flat
+    vector, ``params``, and rebinds both lists to views into it.
+    """
+
     layer_sizes: tuple
-    weights: list  # weights[l] has shape (layer_sizes[l], layer_sizes[l+1])
+    weights: list
     biases: list
+    params: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        sizes = tuple(self.layer_sizes)
+        n = sum(i * o + o for i, o in zip(sizes[:-1], sizes[1:]))
+        self.params = np.empty(n)
+        weights, biases = _layer_views(self.params, sizes)
+        if len(self.weights) != len(weights) or len(self.biases) != len(biases):
+            raise ValueError(f"expected {len(weights)} layers for layer sizes {sizes}")
+        for view, given in zip(weights + biases, list(self.weights) + list(self.biases)):
+            given = np.asarray(given, dtype=np.float64)
+            if given.shape != view.shape:
+                raise ValueError(f"parameter shape {given.shape} != {view.shape}")
+            view[...] = given
+        self.weights, self.biases = weights, biases
 
     @property
     def in_dim(self) -> int:
@@ -50,6 +91,7 @@ class MlpModel:
 
 
 def init_mlp(layer_sizes, rng: np.random.Generator) -> MlpModel:
+    """A model with fresh uniform parameters in one flat vector."""
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ValueError(f"invalid layer sizes {sizes}")
@@ -62,7 +104,11 @@ def init_mlp(layer_sizes, rng: np.random.Generator) -> MlpModel:
 
 
 def forward_trace(model: MlpModel, x):
-    """Logits plus the post-activation output of every layer (input first)."""
+    """Logits plus the post-activation output of every layer (input first).
+
+    Each layer's output is one new array, computed in place: the product,
+    then the bias added and the ReLU applied to it.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.in_dim:
         raise ValueError(f"expected input of shape (N, {model.in_dim}), got {x.shape}")
@@ -70,9 +116,10 @@ def forward_trace(model: MlpModel, x):
     h = x
     last = len(model.weights) - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w + b
+        h = h @ w
+        h += b
         if l < last:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
     return h, acts
 
@@ -82,24 +129,31 @@ def forward(model: MlpModel, x) -> np.ndarray:
     return forward_trace(model, x)[0]
 
 
-def backward(model: MlpModel, grad_logits, acts):
+def backward(model: MlpModel, grad_logits, acts, out=None):
     """Parameter gradients for an upstream gradient on the logits.
 
     ``acts`` is the activation list ``forward_trace`` returned for the batch
     whose logits ``grad_logits`` belongs to; no forward pass runs here.
-    Returns one (dW, db) pair per layer, matching the shapes of
+    The gradient is written into ``out``, a flat vector laid out like
+    ``model.params`` (a new one when ``out`` is None).  Returns one
+    (dW, db) pair of views into it per layer, shaped like
     ``model.weights`` and ``model.biases``.
     """
     g = np.asarray(grad_logits, dtype=np.float64)
     if g.shape != acts[-1].shape:
         raise ValueError(f"gradient shape {g.shape} != logits shape {acts[-1].shape}")
-    grads = [None] * len(model.weights)
-    for l in range(len(model.weights) - 1, -1, -1):
-        grads[l] = (acts[l].T @ g, g.sum(axis=0))
+    if out is None:
+        out = np.empty_like(model.params)
+    elif out.shape != model.params.shape:
+        raise ValueError(f"gradient vector shape {out.shape} != {model.params.shape}")
+    dws, dbs = _layer_views(out, model.layer_sizes)
+    for l in range(len(dws) - 1, -1, -1):
+        np.matmul(acts[l].T, g, out=dws[l])
+        np.sum(g, axis=0, out=dbs[l])
         if l > 0:
             g = g @ model.weights[l].T
-            g = np.where(acts[l] > 0, g, 0.0)  # relu mask
-    return grads
+            g *= acts[l] > 0  # relu mask; a dead unit's gradient may be -0.0
+    return list(zip(dws, dbs))
 
 
 def model_to_dict(model: MlpModel) -> dict:
@@ -119,21 +173,20 @@ def model_from_dict(doc: dict) -> MlpModel:
         raise ValueError(f"unsupported model format version {doc.get('format_version')!r}")
     try:
         sizes = tuple(int(s) for s in doc["layer_sizes"])
-        weights, biases = [], []
-        for l, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            w = np.asarray(doc["weights"][l], dtype=np.float64).reshape(fan_in, fan_out)
-            b = np.asarray(doc["biases"][l], dtype=np.float64)
-            if b.shape != (fan_out,):
-                raise ValueError("bias length does not match layer sizes")
-            weights.append(w)
-            biases.append(b)
+        shapes = list(zip(sizes[:-1], sizes[1:]))
+        model = MlpModel(
+            layer_sizes=sizes,
+            weights=[
+                np.asarray(doc["weights"][l], dtype=np.float64).reshape(shape)
+                for l, shape in enumerate(shapes)
+            ],
+            biases=[doc["biases"][l] for l in range(len(shapes))],
+        )
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed model document: missing or mistyped {exc}") from exc
-    if not all(np.isfinite(w).all() for w in weights) or not all(
-        np.isfinite(b).all() for b in biases
-    ):
+    if not np.isfinite(model.params).all():
         raise ValueError("model parameters contain non-finite values")
-    return MlpModel(layer_sizes=sizes, weights=weights, biases=biases)
+    return model
 
 
 def save_model(model: MlpModel, path) -> None:

@@ -1,4 +1,12 @@
-"""Adaptive-moment optimizer with decoupled weight decay and bias correction."""
+"""Adaptive-moment optimizer with decoupled weight decay and bias correction.
+
+A step updates the parameter arrays and both moment arrays in place, with
+two scratch buffers kept in the state, so it allocates no array of the
+parameters' size.  Given one flat parameter vector (``MlpModel.params``)
+and one flat gradient, a step is one pass over every layer at once; the
+arithmetic is elementwise, so the bits do not depend on how the
+parameters are split into arrays.
+"""
 
 from __future__ import annotations
 
@@ -32,22 +40,33 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
+    """Step count, one first- and one second-moment array per parameter
+    array (updated in place), and two flat scratch buffers as long as the
+    largest parameter array."""
+
     step: int
     m: list
     v: list
+    scratch: tuple
 
 
 def init_optimizer(params) -> OptimizerState:
+    size = max((p.size for p in params), default=0)
     return OptimizerState(
         step=0,
         m=[np.zeros_like(p) for p in params],
         v=[np.zeros_like(p) for p in params],
+        scratch=(np.empty(size), np.empty(size)),
     )
 
 
 def step_optimizer(params, grads, state: OptimizerState, cfg: OptimizerConfig):
     """One update of the parameter arrays and moments in place; returns
     (params, state) with the same parameter list.
+
+    The update is m = beta1*m + (1-beta1)*g, v = beta2*v + ((1-beta2)*g)*g,
+    p -= lr * ((m/bc1) / (sqrt(v/bc2) + eps) + weight_decay*p), evaluated
+    operation by operation into the state's scratch buffers.
 
     With zero moment state the first update direction for a parameter p with
     gradient g is -lr * (g / (|g| + eps) + weight_decay * p), i.e. a
@@ -59,13 +78,24 @@ def step_optimizer(params, grads, state: OptimizerState, cfg: OptimizerConfig):
     t = state.step
     bc1 = 1.0 - cfg.beta1**t
     bc2 = 1.0 - cfg.beta2**t
-    for i, (p, g) in enumerate(zip(params, grads)):
+    for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        state.m[i] = cfg.beta1 * state.m[i] + (1.0 - cfg.beta1) * g
-        state.v[i] = cfg.beta2 * state.v[i] + (1.0 - cfg.beta2) * g * g
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        step = m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * p
-        p -= cfg.learning_rate * step
+        a, b = (buf[: p.size].reshape(p.shape) for buf in state.scratch)
+        m *= cfg.beta1
+        np.multiply(g, 1.0 - cfg.beta1, out=a)
+        m += a
+        v *= cfg.beta2
+        np.multiply(g, 1.0 - cfg.beta2, out=a)
+        a *= g
+        v += a
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += cfg.eps  # the denominator
+        np.divide(m, bc1, out=b)
+        b /= a
+        np.multiply(p, cfg.weight_decay, out=a)
+        b += a  # the step
+        b *= cfg.learning_rate
+        p -= b
     return params, state

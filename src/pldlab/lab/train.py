@@ -72,7 +72,7 @@ def _run_epochs(
     teacher_test: np.ndarray | None,
 ):
     n = dataset.train_features.shape[0]
-    params = [p for layer in zip(model.weights, model.biases) for p in layer]
+    params, grad = [model.params], [np.empty_like(model.params)]
     state = init_optimizer(params)
     records = []
     step_losses = []
@@ -89,8 +89,8 @@ def _run_epochs(
             result = loss_fn(logits, idx, yb)
             if not np.isfinite(result.loss):
                 raise TrainingFailure(f"non-finite loss at epoch {epoch}")
-            grads = backward(model, result.grad, acts)
-            step_optimizer(params, [g for layer in grads for g in layer], state, opt_cfg)
+            backward(model, result.grad, acts, out=grad[0])
+            step_optimizer(params, grad, state, opt_cfg)
             epoch_losses.append(result.loss)
             step_losses.append(result.loss)
         test_logits = forward(model, dataset.test_features)

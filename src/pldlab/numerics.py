@@ -85,7 +85,8 @@ def softmax(v, temperature: float = 1.0) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("softmax input contains non-finite entries")
     z = arr if temperature == 1.0 else arr / temperature
-    z = z - z.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # a row wider than the float64 range gives -inf
+        z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -102,7 +103,8 @@ def log_softmax(v, temperature: float = 1.0) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("log_softmax input contains non-finite entries")
     z = arr / temperature
-    z = z - z.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # a row wider than the float64 range gives -inf
+        z = z - z.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 

@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pldlab.lab.model as lab_model
 import pldlab.lab.train as lab_train
@@ -455,3 +457,128 @@ def test_teacher_wider_than_float64_range_gives_finite_teacher_kl(small_setup, k
             ds, wide, [4, 8, 4], default_loss_config(kind), epochs=2, seed=0, batch_size=32
         )
     assert all(np.isfinite(rec.teacher_kl) for rec in run.records)
+
+
+# -- flat parameters and the in-place training step ---------------------------
+#
+# The oracle is the out-of-place arithmetic the in-place code replaced: a
+# fresh array per layer output, an np.where ReLU mask, and a fresh array per
+# Adam term.  The in-place step must reproduce its parameters bit for bit.
+
+
+def _oracle_forward_trace(weights, biases, x):
+    acts = [x]
+    h = x
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        h = h @ w + b
+        if l < len(weights) - 1:
+            h = np.maximum(h, 0.0)
+        acts.append(h)
+    return h, acts
+
+
+def _oracle_backward(weights, g, acts):
+    grads = [None] * len(weights)
+    for l in range(len(weights) - 1, -1, -1):
+        grads[l] = (acts[l].T @ g, g.sum(axis=0))
+        if l > 0:
+            g = g @ weights[l].T
+            g = np.where(acts[l] > 0, g, 0.0)
+    return grads
+
+
+def _oracle_adam(params, grads, m, v, t, cfg):
+    bc1 = 1.0 - cfg.beta1**t
+    bc2 = 1.0 - cfg.beta2**t
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g
+        v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * g * g
+        step = (m[i] / bc1) / (np.sqrt(v[i] / bc2) + cfg.eps) + cfg.weight_decay * p
+        p -= cfg.learning_rate * step
+
+
+def _assert_bits_equal(a, b):
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 12), min_size=2, max_size=4),
+    batch=st.integers(1, 64),
+    dead=st.booleans(),
+    zero_grad=st.booleans(),
+    beta1=st.sampled_from([0.0, 0.9]),
+    weight_decay=st.sampled_from([0.0, 0.01]),
+    seed=st.integers(0, 2**16),
+)
+def test_in_place_step_matches_out_of_place_oracle(
+    sizes, batch, dead, zero_grad, beta1, weight_decay, seed
+):
+    """Forward, backward and Adam over the flat vector against the oracle,
+    for several steps: every parameter equal, signs of zeros included.
+    Dead hidden units make the ReLU mask leave -0.0 in the gradient."""
+    rng = make_rng(seed)
+    model = init_mlp(sizes, rng)
+    if dead:
+        for b in model.biases[:-1]:
+            b[::2] = -1e3
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
+    ref = [p for layer in zip(weights, biases) for p in layer]
+    ref_m = [np.zeros_like(p) for p in ref]
+    ref_v = [np.zeros_like(p) for p in ref]
+    cfg = OptimizerConfig(learning_rate=0.05, beta1=beta1, weight_decay=weight_decay)
+    params, grad = [model.params], [np.empty_like(model.params)]
+    state = init_optimizer(params)
+    for t in range(1, 5):
+        x = rng.normal(size=(batch, sizes[0]))
+        up = np.zeros((batch, sizes[-1])) if zero_grad else rng.normal(size=(batch, sizes[-1]))
+        logits, acts = forward_trace(model, x)
+        ref_logits, ref_acts = _oracle_forward_trace(weights, biases, x)
+        _assert_bits_equal(logits, ref_logits)
+        pairs = backward(model, up, acts, out=grad[0])
+        ref_pairs = _oracle_backward(weights, up, ref_acts)
+        for (dw, db), (ref_dw, ref_db) in zip(pairs, ref_pairs):
+            np.testing.assert_array_equal(dw, ref_dw)  # -0.0 may stand for +0.0
+            np.testing.assert_array_equal(db, ref_db)
+        step_optimizer(params, grad, state, cfg)
+        _oracle_adam(ref, [g for pair in ref_pairs for g in pair], ref_m, ref_v, t, cfg)
+        for p, ref_p in zip([q for layer in zip(model.weights, model.biases) for q in layer], ref):
+            _assert_bits_equal(p, ref_p)
+
+
+def test_optimizer_step_allocates_no_parameter_sized_array():
+    """After one warm-up step, a step on the default teacher's 72,714
+    parameters allocates less than a tenth of one parameter vector."""
+    import tracemalloc
+
+    params = [init_mlp([16, 256, 256, 10], make_rng(70)).params]
+    assert params[0].size == 72_714
+    grads = [make_rng(71).normal(size=params[0].size)]
+    state = init_optimizer(params)
+    step_optimizer(params, grads, state, OptimizerConfig())
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        step_optimizer(params, grads, state, OptimizerConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * params[0].nbytes
+
+
+def test_layers_are_views_of_the_flat_vector(tmp_path):
+    ds = make_blobs(**SMALL, spread=1.0, noise_rate=0.1, seed=72)
+    model, _ = train_teacher(ds, [4, 8, 6, 4], epochs=2, seed=0, batch_size=32)
+    for p in model.weights + model.biases:
+        assert p.flags.c_contiguous and np.shares_memory(p, model.params)
+    assert sum(p.size for p in model.weights + model.biases) == model.params.size
+    model.weights[1][0, 0] = 7.0
+    assert 7.0 in model.params
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_model(model, first)
+    loaded = load_model(first)
+    save_model(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert all(np.shares_memory(p, loaded.params) for p in loaded.weights + loaded.biases)

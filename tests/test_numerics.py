@@ -1,6 +1,7 @@
 """Numerical primitive tests: analytic values, stability cases, and naive oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,18 @@ class TestSoftmax:
         rng = make_rng(4)
         v = rng.normal(size=15) * 3
         np.testing.assert_allclose(log_softmax(v, 2.0), np.log(softmax(v, 2.0)), rtol=1e-12)
+
+    def test_row_wider_than_float64_range_warns_nothing(self):
+        """z - max(z) overflows to -inf for a finite row spanning more than
+        the float64 range; that is the right answer, and no warning."""
+        rows = [[1e308, -1e308, 0.0], [1.0, 2.0, 3.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, logp = softmax(rows), log_softmax(rows)
+        np.testing.assert_array_equal(p[0], [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(logp[0], [0.0, -np.inf, -1e308])
+        np.testing.assert_array_equal(p[1], softmax([1.0, 2.0, 3.0]))
+        np.testing.assert_array_equal(logp[1], log_softmax([1.0, 2.0, 3.0]))
 
 
 class TestLogSumExp:
