@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -186,6 +187,7 @@ class TestSerialization:
             [],
             {"format_version": 1},
             {"format_version": 1, "layer_sizes": [3, 2], "weights": [], "biases": []},
+            {"format_version": 1, "layer_sizes": [1, 2], "weights": [[1, 2]], "biases": [[0]]},
         ],
     )
     def test_malformed_document_is_a_value_error(self, doc):
@@ -551,8 +553,6 @@ def test_in_place_step_matches_out_of_place_oracle(
 def test_optimizer_step_allocates_no_parameter_sized_array():
     """After one warm-up step, a step on the default teacher's 72,714
     parameters allocates less than a tenth of one parameter vector."""
-    import tracemalloc
-
     params = [init_mlp([16, 256, 256, 10], make_rng(70)).params]
     assert params[0].size == 72_714
     grads = [make_rng(71).normal(size=params[0].size)]
