@@ -13,6 +13,9 @@ the result holds one loss, gradient and set of rows per batch, so a stack
 is that many independent batches scored in one call.  ``grad_check``
 scores its perturbed copies of a batch this way.
 
+Each kernel checks its own arguments and raises ValueError on a malformed
+one; ``evaluate_loss`` leaves its arrays to the kernel and ``standardize_rows``.
+
 Loss family:
 
 * ``ce_loss`` / ``ls_loss``      -- hard-label cross-entropy, optionally
@@ -166,17 +169,35 @@ def _per_batch(loss):
     return loss if isinstance(loss, np.ndarray) else float(loss)
 
 
+def _kl_terms(p, logp, logr):
+    """p * (logp - logr) per class, with 0 log 0 = 0: a class of probability 0
+    adds nothing, also where a row wider than the float64 range gives it logp = -inf."""
+    if p.all():  # no p is 0: skip the masked pass and the zeroed array it fills
+        return p * (logp - logr)
+    return p * np.subtract(logp, logr, out=np.zeros_like(logr), where=p > 0)
+
+
 def _onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     out = np.zeros((labels.shape[0], n_classes))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
 
 
-def ce_loss(s_batch, labels) -> LossResult:
-    """Cross-entropy on hard labels: mean of log-sum-exp(s) - s_y."""
+def _inputs(s_batch, t_batch, labels, teacher: bool = True):
+    """The kernels' checked inputs: the student stack (..., N, C), the N x C
+    teacher batch of the same shape (None without ``teacher``), the N labels."""
     s = as_finite_matrix(s_batch, "student logits", stack=True)
     n, c = s.shape[-2:]
-    y = as_labels(labels, c, n)
+    t = as_finite_matrix(t_batch, "teacher logits") if teacher else None
+    if teacher and t.shape != (n, c):
+        raise ValueError(f"shape mismatch: student {s.shape} vs teacher {t.shape}")
+    return s, t, as_labels(labels, c, n)
+
+
+def ce_loss(s_batch, labels) -> LossResult:
+    """Cross-entropy on hard labels: mean of log-sum-exp(s) - s_y."""
+    s, _, y = _inputs(s_batch, None, labels, teacher=False)
+    n, c = s.shape[-2:]
     logq = log_softmax(s)
     picked = logq[..., np.arange(n), y]
     loss = -picked.mean(axis=-1)
@@ -188,9 +209,8 @@ def ls_loss(s_batch, labels, epsilon: float) -> LossResult:
     """Cross-entropy against the label-smoothed target (1-eps)*onehot + eps/C."""
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
-    s = as_finite_matrix(s_batch, "student logits", stack=True)
+    s, _, y = _inputs(s_batch, None, labels, teacher=False)
     n, c = s.shape[-2:]
-    y = as_labels(labels, c, n)
     target = (1.0 - epsilon) * _onehot(y, c) + epsilon / c
     logq = log_softmax(s)
     sums = (target * logq).sum(axis=-1)
@@ -212,20 +232,16 @@ def kd_loss(
     ``divergence`` picks D: forward KL (teacher || student), reverse KL
     (student || teacher), or the Jensen-Shannon divergence against the
     mixture.  Both distributions are softened by ``tau``; the tau^2 factor
-    keeps gradient magnitudes comparable across temperatures.
+    keeps gradient magnitudes comparable across temperatures.  A teacher class
+    of probability 0 adds 0 to forward KL and JS (0 log 0 = 0); reverse KL is
+    +inf where the teacher gives 0 and the student does not, which is its value.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
     if divergence not in DIVERGENCES:
         raise ValueError(f"unknown divergence {divergence!r}")
-    s = as_finite_matrix(s_batch, "student logits", stack=True)
-    t = as_finite_matrix(t_batch, "teacher logits")
-    if s.shape[-2:] != t.shape:
-        raise ValueError(f"shape mismatch: student {s.shape} vs teacher {t.shape}")
-    n, c = t.shape
-    y = as_labels(labels, c, n)
+    s, t, y = _inputs(s_batch, t_batch, labels)
+    n = t.shape[0]
 
     logq = log_softmax(s, temperature=tau)
     logp = log_softmax(t, temperature=tau)
@@ -233,7 +249,7 @@ def kd_loss(
     p = np.exp(logp)
 
     if divergence == "forward-kl":
-        div = (p * (logp - logq)).sum(axis=-1)
+        div = _kl_terms(p, logp, logq).sum(axis=-1)
         dgrad = (q - p) / tau
     elif divergence == "reverse-kl":
         r = logq - logp
@@ -241,7 +257,7 @@ def kd_loss(
         dgrad = q * (r - (q * r).sum(axis=-1, keepdims=True)) / tau
     else:  # js
         logm = np.logaddexp(logp, logq) - np.log(2.0)
-        div = 0.5 * (p * (logp - logm)).sum(axis=-1) + 0.5 * (q * (logq - logm)).sum(axis=-1)
+        div = 0.5 * _kl_terms(p, logp, logm).sum(axis=-1) + 0.5 * (q * (logq - logm)).sum(axis=-1)
         v = 0.5 * (logq - logm)
         dgrad = q * (v - (q * v).sum(axis=-1, keepdims=True)) / tau
 
@@ -297,18 +313,12 @@ def dist_loss(
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if beta < 0 or gamma < 0:
         raise ValueError("beta and gamma must be nonnegative")
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    s = as_finite_matrix(s_batch, "student logits", stack=True)
-    t = as_finite_matrix(t_batch, "teacher logits")
-    if s.shape[-2:] != t.shape:
-        raise ValueError(f"shape mismatch: student {s.shape} vs teacher {t.shape}")
+    s, t, y = _inputs(s_batch, t_batch, labels)
     n, c = t.shape
     if c < 2:
         raise ValueError("dist loss needs at least 2 classes")
     if gamma > 0 and n < 2:
         raise ValueError("intra-class correlation needs a batch of at least 2 rows")
-    y = as_labels(labels, c, n)
 
     qs = softmax(s, temperature=tau)
     qt = softmax(t, temperature=tau)
@@ -362,8 +372,6 @@ def make_weights(t, pi, scheme: str, tau_T: float = 1.0) -> np.ndarray:
     """
     t = as_finite_vector(t, "teacher logits")
     pi = as_ranking(pi, t.shape[0])
-    if scheme == "teacher-softmax" and not tau_T > 0:
-        raise ValueError(f"tau_T must be positive, got {tau_T}")
     return _ascending_weights(t[None], pi[None, ::-1], scheme, tau_T)[0, ::-1]
 
 
@@ -421,16 +429,14 @@ def pld_loss(
     suffix normalizer, d/ds_i = exp(s_i) * sum_{k <= rank(i)} alpha_k / Z_k
     - alpha_rank(i), accumulated in log space so nothing overflows.
     """
-    if targets is None and not tau_T > 0:
-        raise ValueError(f"tau_T must be positive, got {tau_T}")
-    s = as_finite_matrix(s_batch, "student logits", stack=True)
-    n, c = s.shape[-2:]
     if targets is None:
-        t = as_finite_matrix(t_batch, "teacher logits")
-        if s.shape[-2:] != t.shape:
-            raise ValueError(f"shape mismatch: student {s.shape} vs teacher {t.shape}")
-        y = as_labels(labels, c, n)
+        if not tau_T > 0:
+            raise ValueError(f"tau_T must be positive, got {tau_T}")
+        s, t, y = _inputs(s_batch, t_batch, labels)
+        n, c = t.shape
     else:  # checked once per call: order rows permute range(C), weights finite and >= 0
+        s = as_finite_matrix(s_batch, "student logits", stack=True)
+        n, c = s.shape[-2:]
         order, tw = np.asarray(targets[0]), np.asarray(targets[1], dtype=np.float64)
         seen = np.zeros((n, c), dtype=bool)
         if order.shape == tw.shape == (n, c) and order.dtype.kind in "iu":
@@ -618,14 +624,8 @@ def student_teacher_kl(s_batch, t_batch) -> float:
     t = as_finite_matrix(t_batch, "teacher logits")
     if s.shape != t.shape:
         raise ValueError(f"shape mismatch: student {s.shape} vs teacher {t.shape}")
-    logq = log_softmax(s)
-    # 0 log 0 = 0: a class whose teacher probability is 0 adds nothing, also where
-    # a row spanning more than the float64 range gives it logp = -inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        logp = log_softmax(t)
-        p = np.exp(logp)
-        gap = np.where(p > 0, logp - logq, 0.0)
-    return float((p * gap).sum(axis=1).mean())
+    logp = log_softmax(t)
+    return float(_kl_terms(np.exp(logp), logp, log_softmax(s)).sum(axis=1).mean())
 
 
 def evaluate_loss(config: DistillLossConfig, s_batch, t_batch, labels, targets=None) -> LossResult:
@@ -640,12 +640,11 @@ def evaluate_loss(config: DistillLossConfig, s_batch, t_batch, labels, targets=N
     """
     if targets is not None and config.pld_args is None:
         raise ValueError(f"loss kind {config.kind!r} takes no pld targets")
-    s = as_finite_matrix(s_batch, "student logits", stack=True)
-    t = None
-    if config.needs_teacher and targets is None:
-        t = as_finite_matrix(t_batch, "teacher logits")
-        t = t if config.standardize == "none" else standardize_rows(t)
+    s = np.asarray(s_batch, dtype=np.float64)  # the kernel or standardize_rows checks s and t
     s_in = standardize_rows(s) if config.standardize == "both" else s
+    t = t_batch
+    if config.needs_teacher and targets is None and config.standardize != "none":
+        t = standardize_rows(t)
 
     if config.kind == "ce":
         res = ce_loss(s_in, labels)

@@ -27,16 +27,21 @@ __all__ = [
 _FAST_LCSE_SPAN = 600.0
 
 
+def _finite(arr: np.ndarray, name: str) -> np.ndarray:
+    """``arr`` itself, once checked to be nonempty and finite."""
+    if arr.size == 0:
+        raise ValueError(f"{name} must be nonempty")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
 def as_finite_vector(v, name: str = "vector") -> np.ndarray:
     """Validate and return ``v`` as a 1-D float64 array (finite, length >= 1)."""
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name} must have at least one entry")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+    return _finite(arr, name)
 
 
 def as_finite_matrix(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
@@ -46,11 +51,7 @@ def as_finite_matrix(m, name: str = "matrix", stack: bool = False) -> np.ndarray
     if arr.ndim != 2 and not (stack and arr.ndim > 2):
         kind = "2-D or a stack of 2-D arrays" if stack else "2-D"
         raise ValueError(f"{name} must be {kind}, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name} must be nonempty")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+    return _finite(arr, name)
 
 
 def as_labels(labels, n_classes: int, n_rows: int | None = None) -> np.ndarray:
@@ -70,6 +71,22 @@ def as_labels(labels, n_classes: int, n_rows: int | None = None) -> np.ndarray:
     return arr
 
 
+def _shifted(v, temperature: float, name: str) -> np.ndarray:
+    """v / temperature minus its row max, once both are checked.  Entries of
+    a row wider than the float64 range go to -inf (probability 0) silently; a
+    row whose scaled max overflows (temperature < 1) is shifted before the divide."""
+    if not (np.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    arr = _finite(np.asarray(v, dtype=np.float64), name)
+    with np.errstate(over="ignore"):
+        z = arr if temperature == 1.0 else arr / temperature
+        m = z.max(axis=-1, keepdims=True)
+        if temperature < 1.0 and np.isinf(m).any():  # v / temperature overflowed
+            z = np.where(np.isinf(m), (arr - arr.max(axis=-1, keepdims=True)) / temperature, z)
+            m[np.isinf(m)] = 0.0
+        return z - m
+
+
 def softmax(v, temperature: float = 1.0) -> np.ndarray:
     """Temperature-scaled softmax of each row (the last axis), via
     max-subtraction.
@@ -77,17 +94,7 @@ def softmax(v, temperature: float = 1.0) -> np.ndarray:
     Output rows are nonnegative and sum to 1 (entries more than ~745 nats
     below the row max underflow to exactly 0).
     """
-    if not (np.isfinite(temperature) and temperature > 0):
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("softmax of an empty array")
-    if not np.isfinite(arr).all():
-        raise ValueError("softmax input contains non-finite entries")
-    z = arr if temperature == 1.0 else arr / temperature
-    with np.errstate(over="ignore"):  # a row wider than the float64 range gives -inf
-        z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
+    e = np.exp(_shifted(v, temperature, "softmax input"))
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
@@ -95,16 +102,7 @@ def softmax(v, temperature: float = 1.0) -> np.ndarray:
 def log_softmax(v, temperature: float = 1.0) -> np.ndarray:
     """log(softmax(v / temperature)) of each row; never produces -inf from
     underflow alone."""
-    if not (np.isfinite(temperature) and temperature > 0):
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("log_softmax of an empty array")
-    if not np.isfinite(arr).all():
-        raise ValueError("log_softmax input contains non-finite entries")
-    z = arr / temperature
-    with np.errstate(over="ignore"):  # a row wider than the float64 range gives -inf
-        z = z - z.max(axis=-1, keepdims=True)
+    z = _shifted(v, temperature, "log_softmax input")
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
@@ -139,27 +137,18 @@ def _log_cumsum_exp_rows(x: np.ndarray) -> np.ndarray:
     sequential np.logaddexp, which is exact for any spread.
     """
     m = x.max(axis=1, keepdims=True)
-    if np.isneginf(m).any():
-        out = np.empty_like(x)
-        dead = np.isneginf(m).ravel()
-        out[dead] = -np.inf
-        if (~dead).any():
-            out[~dead] = _log_cumsum_exp_rows(x[~dead])
-        return out
+    m[np.isneginf(m)] = 0.0  # a row of all -inf: log(0) + 0 = -inf
     finite_min = np.where(np.isinf(x), np.inf, x).min(axis=1, keepdims=True)
-    narrow = (m - finite_min) < _FAST_LCSE_SPAN
-    if narrow.all():
-        with np.errstate(divide="ignore"):  # log(0) = -inf for -inf prefixes
-            return np.log(np.cumsum(np.exp(x - m), axis=1)) + m
+    narrow = ((m - finite_min) < _FAST_LCSE_SPAN).ravel()
+    every = narrow.all()
+    xs, ms = (x, m) if every else (x[narrow], m[narrow])
+    with np.errstate(divide="ignore"):  # log(0) = -inf for -inf prefixes
+        lin = np.log(np.cumsum(np.exp(xs - ms), axis=1)) + ms
+    if every:
+        return lin
     out = np.empty_like(x)
-    idx = narrow.ravel()
-    if idx.any():
-        xs = x[idx]
-        ms = m[idx]
-        with np.errstate(divide="ignore"):
-            out[idx] = np.log(np.cumsum(np.exp(xs - ms), axis=1)) + ms
-    wide = ~idx
-    out[wide] = np.logaddexp.accumulate(x[wide], axis=1)
+    out[narrow] = lin
+    out[~narrow] = np.logaddexp.accumulate(x[~narrow], axis=1)
     return out
 
 

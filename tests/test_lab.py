@@ -461,6 +461,19 @@ def test_teacher_wider_than_float64_range_gives_finite_teacher_kl(small_setup, k
     assert all(np.isfinite(rec.teacher_kl) for rec in run.records)
 
 
+@pytest.mark.parametrize("kind,temperature", [("pld", "teacher_temperature"),
+                                              ("kd", "kd_temperature")])
+def test_tiny_temperature_on_huge_teacher_logits_trains(small_setup, kind, temperature):
+    """Teacher logits near 1e306 at temperature 1e-3: t / tau overflows, yet
+    the softened teacher is one-hot and the run finishes with finite losses."""
+    ds, _ = small_setup
+    biases = [np.array([1e306, 0.0, -1e306, 5.0])]
+    huge = MlpModel(layer_sizes=(4, 4), weights=[np.zeros((4, 4))], biases=biases)
+    cfg = default_loss_config(kind, **{temperature: 1e-3})
+    run = distill_student(ds, huge, [4, 8, 4], cfg, epochs=2, seed=0, batch_size=32)
+    assert all(np.isfinite([rec.train_loss, rec.teacher_kl]).all() for rec in run.records)
+
+
 # -- flat parameters and the in-place training step ---------------------------
 #
 # The oracle is the out-of-place arithmetic the in-place code replaced: a

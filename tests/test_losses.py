@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from pldlab.losses import (
     DistillLossConfig,
     LOSS_KINDS,
+    STANDARDIZE_MODES,
     WEIGHT_SCHEMES,
     ce_loss,
     default_loss_config,
@@ -130,6 +132,33 @@ class TestKnowledgeDistillation:
         assert ab == pytest.approx(ba, rel=1e-10)
         assert 0.0 <= ab <= math.log(2.0) + 1e-12
 
+    def test_teacher_zero_probability_adds_nothing(self):
+        """A teacher row wider than the float64 range gives two classes
+        probability 0: forward KL and JS count 0 log 0 = 0 and stay finite,
+        reverse KL is +inf there, which is its value."""
+        s, t = [[0.0, 1.0, 2.0]], [[1e308, -1e308, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for divergence in ("forward-kl", "js"):
+                res = kd_loss(s, t, [0], tau=1.0, divergence=divergence)
+                assert np.isfinite(res.loss) and np.isfinite(res.grad).all()
+        logq = np.log(np.exp(s[0]) / np.exp(s[0]).sum())
+        assert kd_loss(s, t, [0], alpha=0.0, tau=1.0).loss == pytest.approx(-logq[0], rel=1e-15)
+        with np.errstate(invalid="ignore"):
+            assert kd_loss(s, t, [0], tau=1.0, divergence="reverse-kl").loss == np.inf
+
+    def test_tiny_temperature_on_huge_teacher_logits(self):
+        """t / tau overflows for tau < 1: the teacher row is shifted by its
+        max first, so its softened distribution is one-hot, not NaN."""
+        s, t = [[0.0, 1.0, 2.0]], [[1e306, 0.0, -1e306]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for divergence in ("forward-kl", "js"):
+                res = kd_loss(s, t, [0], tau=1e-3, divergence=divergence)
+                assert np.isfinite(res.loss) and np.isfinite(res.grad).all()
+            res = dist_loss(s, t, [0], gamma=0.0, tau=1e-3)
+            assert np.isfinite(res.loss) and np.isfinite(res.grad).all()
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             kd_loss([[0.0, 1.0]], [[0.0, 1.0]], [0], alpha=1.5)
@@ -219,6 +248,14 @@ class TestMakeWeights:
 
 
 class TestPldLoss:
+    def test_tiny_teacher_temperature_on_huge_teacher_logits(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = pld_loss([[0.0, 1.0]], [[1e306, 0.0]], [0], tau_T=1e-3)
+        assert np.isfinite(res.loss) and np.isfinite(res.grad).all()
+        plain = pld_loss([[0.0, 1.0]], [[1.0, 0.0]], [0], scheme="onehot-first")
+        assert res.loss == plain.loss  # the weights are one-hot on the label
+
     @pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
     def test_apply_on_targets_equals_pld_loss(self, scheme):
         """Targets of a 60-row table, gathered for 40 shuffled rows, reproduce
@@ -713,3 +750,66 @@ class TestEvaluateLossDispatch:
             dataclasses.replace(DistillLossConfig(), ce_mix=1.5)
         with pytest.raises(ValueError):
             DistillLossConfig(dist_gamma=float("nan"))
+
+
+# -- checks at the boundary ------------------------------------------------------
+#
+# evaluate_loss does not check its arrays itself: the kernel it dispatches to
+# does, and so does standardize_rows.  Every malformed input it reads must
+# still raise ValueError, never another exception and never a result.
+
+RANKING_KINDS = ("listmle", "plistmle", "pld")
+GUARD_CASES = [
+    (kind, standardize, targets)
+    for kind in LOSS_KINDS
+    for standardize in STANDARDIZE_MODES
+    for targets in (False, True)
+    if kind in RANKING_KINDS or not targets
+]
+
+
+def _malformed(s, t, y):
+    """(name, s, t, labels) per malformed input, with the parts it reads."""
+    n, c = s.shape
+    for bad in (np.nan, np.inf, -np.inf):
+        s_bad, t_bad = s.copy(), t.copy()
+        s_bad[1, 2] = t_bad[0, 1] = bad
+        yield f"s={bad}", s_bad, t, y, "s"
+        yield f"t={bad}", s, t_bad, y, "t"
+    yield "s 1-D", s[0], t, y, "s"
+    yield "s 0-d", np.float64(1.0), t, y, "s"
+    yield "s empty", np.zeros((0, c)), t, y, "s"
+    yield "t rows", s, np.zeros((n + 1, c)), y, "t"
+    yield "t classes", s, np.zeros((n, c + 1)), y, "t"
+    yield "labels float", s, t, y.astype(np.float64), "y"
+    yield "labels negative", s, t, np.where(np.arange(n) == 0, -1, y), "y"
+    yield "labels out of range", s, t, np.where(np.arange(n) == 0, c, y), "y"
+    yield "labels length", s, t, y[:-1], "y"
+
+
+@pytest.mark.parametrize("kind,standardize,targets", GUARD_CASES)
+def test_evaluate_loss_rejects_malformed_input(kind, standardize, targets):
+    rng = make_rng(71)
+    s, t, y = random_batch(rng, 3, 4)
+    cfg = default_loss_config(kind, standardize=standardize)
+    kw = {}
+    if targets:
+        t_in = t if standardize == "none" else standardize_rows(t)
+        kw = {"targets": pld_targets(t_in, y, **cfg.pld_args)}
+    reads = {"s"}
+    if not targets:
+        reads |= {"y", "t"} if cfg.needs_teacher else {"y"}
+    for name, s_bad, t_bad, y_bad, part in _malformed(s, t, y):
+        if part in reads:
+            with pytest.raises(ValueError):
+                evaluate_loss(cfg, s_bad, t_bad, y_bad, **kw)
+                pytest.fail(f"{name} gave a result")
+
+
+@pytest.mark.parametrize("kernel", [kd_loss, dist_loss])
+@pytest.mark.parametrize("tau", [0.0, -1.0, np.nan])
+def test_kernel_rejects_bad_temperature(kernel, tau):
+    rng = make_rng(72)
+    s, t, y = random_batch(rng, 3, 4)
+    with pytest.raises(ValueError):
+        kernel(s, t, y, tau=tau)

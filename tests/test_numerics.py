@@ -5,8 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pldlab.numerics import (
+    _FAST_LCSE_SPAN,
+    _log_cumsum_exp_rows,
     argsort_stable,
     as_finite_vector,
     log_cumsum_exp,
@@ -88,6 +92,20 @@ class TestSoftmax:
         np.testing.assert_array_equal(p[1], softmax([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(logp[1], log_softmax([1.0, 2.0, 3.0]))
 
+    def test_tiny_temperature_on_huge_logits_warns_nothing(self):
+        """v / tau overflows to inf for finite logits above about 1.8e308 * tau:
+        such a row is shifted by its max before the divide, and every other
+        row keeps the bits of a one-row call."""
+        rows = [[1e306, 0.0], [1e306, 1e306 - 2e303], [1.0, 2.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, logp = softmax(rows, 1e-3), log_softmax(rows, 1e-3)
+            far = (rows[1][1] - rows[1][0]) / 1e-3
+            np.testing.assert_array_equal(logp[:2], [[0.0, -np.inf], [0.0, far]])
+            np.testing.assert_array_equal(p[:2], [[1.0, 0.0], [1.0, 0.0]])
+            np.testing.assert_array_equal(p[2], softmax(rows[2], 1e-3))
+            np.testing.assert_array_equal(logp[2], log_softmax(rows[2], 1e-3))
+
 
 class TestLogSumExp:
     def test_pair_of_zeros(self):
@@ -160,6 +178,71 @@ class TestLogCumsumExp:
             log_cumsum_exp(np.array([]))
         with pytest.raises(ValueError):
             log_cumsum_exp(np.float64(1.0))
+
+
+ROW_KINDS = ("narrow", "wide", "some -inf", "all -inf")
+
+
+@st.composite
+def lcse_rows(draw, kinds):
+    """A batch of rows, each of a kind drawn from ``kinds``: narrow (finite
+    spread below _FAST_LCSE_SPAN), wide (spread at least that), either with
+    some -inf entries, or all -inf."""
+    c = draw(st.integers(1, 9))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "all -inf":
+            rows.append(np.full(c, -np.inf))
+            continue
+        width = (0.45 if kind == "narrow" or c == 1 else 3.0) * _FAST_LCSE_SPAN
+        row = draw(st.floats(-700.0, 700.0)) + np.array(
+            draw(st.lists(st.floats(-width, width), min_size=c, max_size=c))
+        )
+        if kind == "wide" and c > 1:
+            row[draw(st.integers(0, c - 1))] = row.max() - _FAST_LCSE_SPAN - draw(st.floats(0, 900))
+        if kind == "some -inf" and c > 1:
+            dead = draw(st.lists(st.booleans(), min_size=c, max_size=c))
+            keep = draw(st.integers(0, c - 1))
+            row[[d and j != keep for j, d in enumerate(dead)]] = -np.inf
+        rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@pytest.mark.parametrize("kinds", [("narrow",), ("wide",), ("narrow", "wide"), ("some -inf",),
+                                   ("all -inf",), ROW_KINDS])
+@given(data=st.data())
+def test_log_cumsum_exp_rows_properties(kinds, data):
+    """Each branch against np.logaddexp.accumulate: -inf in the same places,
+    finite prefixes within 1e-13 relative, and every row equal bit for bit to
+    its one-row call."""
+    x = data.draw(lcse_rows(kinds))
+    out = _log_cumsum_exp_rows(x)
+    ref = np.logaddexp.accumulate(x, axis=1)
+    np.testing.assert_array_equal(np.isneginf(out), np.isneginf(ref))
+    live = np.isfinite(ref)
+    assert np.isfinite(out[live]).all()
+    assert (np.abs(out[live] - ref[live]) <= 1e-13 * np.maximum(1.0, np.abs(ref[live]))).all()
+    for i, row in enumerate(x):
+        assert out[i].tobytes() == _log_cumsum_exp_rows(row[None])[0].tobytes()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    rows=st.integers(1, 8).flatmap(
+        lambda c: st.lists(
+            st.lists(st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 2.5]),
+                     min_size=c, max_size=c),
+            min_size=1, max_size=4,
+        )
+    ),
+    descending=st.booleans(),
+)
+def test_argsort_stable_matches_numpy_stable_sort(rows, descending):
+    v = np.array(rows)
+    want = np.argsort(-v if descending else v, axis=-1, kind="stable")
+    np.testing.assert_array_equal(argsort_stable(v, descending=descending), want)
 
 
 class TestArgsortStable:
