@@ -19,6 +19,7 @@ probe likewise evaluates all of its points in one call.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,9 @@ __all__ = [
 SLICE_LOSS_KINDS = ("pld", "kd", "dist", "ce")
 SLICE_CSV_HEADER = "alpha,beta,loss_kind,temperature,value"
 
+# The grid runs from -span to span, so 2 * span must be finite; then every
+# point t + a*d1 + b*d2 is at most 1 + sqrt(2) * span in size, finite too.
+_MAX_SPAN = sys.float_info.max / 2
 _GRAM_SCHMIDT_TOL = 1e-8
 _GRAM_SCHMIDT_RETRIES = 8
 
@@ -65,6 +69,8 @@ class SliceSpec:
             raise ValueError("grid resolution must be at least 3")
         if not self.span > 0:
             raise ValueError("span must be positive")
+        if self.span > _MAX_SPAN:
+            raise ValueError(f"span must be at most {_MAX_SPAN!r}, so the grid stays finite")
         if not self.temperatures or any(not t > 0 for t in self.temperatures):
             raise ValueError("temperatures must be positive")
         if len({float(t) for t in self.temperatures}) < len(self.temperatures):

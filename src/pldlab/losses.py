@@ -39,6 +39,7 @@ import numpy as np
 
 from .numerics import (
     _log_cumsum_exp_rows,
+    _row_starts,
     as_finite_matrix,
     as_finite_vector,
     as_labels,
@@ -169,12 +170,26 @@ def _per_batch(loss):
     return loss if isinstance(loss, np.ndarray) else float(loss)
 
 
-def _kl_terms(p, logp, logr):
-    """p * (logp - logr) per class, with 0 log 0 = 0: a class of probability 0
-    adds nothing, also where a row wider than the float64 range gives it logp = -inf."""
+def _log_ratio(p, logp, logr):
+    """logp - logr per class, 0 where p is 0.  With 0 log 0 = 0 a class of
+    probability 0 adds nothing to p * (logp - logr) or to a gradient factor
+    p * (...), also where a row wider than the float64 range gives it logp = -inf."""
     if p.all():  # no p is 0: skip the masked pass and the zeroed array it fills
-        return p * (logp - logr)
-    return p * np.subtract(logp, logr, out=np.zeros_like(logr), where=p > 0)
+        return logp - logr
+    return np.subtract(logp, logr, out=np.zeros_like(logr), where=p > 0)
+
+
+def _kl_terms(p, logp, logr):
+    """p * (logp - logr) per class, with 0 log 0 = 0."""
+    return p * _log_ratio(p, logp, logr)
+
+
+def _one_ranking(pi, n_classes: int) -> np.ndarray:
+    """``pi`` checked as one ranking; as_ranking alone also accepts a stack."""
+    pi = as_ranking(pi, n_classes)
+    if pi.ndim != 1:
+        raise ValueError(f"ranking must have length {n_classes}, got shape {pi.shape}")
+    return pi
 
 
 def _onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -232,9 +247,11 @@ def kd_loss(
     ``divergence`` picks D: forward KL (teacher || student), reverse KL
     (student || teacher), or the Jensen-Shannon divergence against the
     mixture.  Both distributions are softened by ``tau``; the tau^2 factor
-    keeps gradient magnitudes comparable across temperatures.  A teacher class
-    of probability 0 adds 0 to forward KL and JS (0 log 0 = 0); reverse KL is
-    +inf where the teacher gives 0 and the student does not, which is its value.
+    keeps gradient magnitudes comparable across temperatures.  A class of
+    probability 0 adds 0 to the divergence and its gradient (0 log 0 = 0).
+    Reverse KL is +inf where the teacher gives 0 and the student does not,
+    which is its value; the gradient of such a row is then not finite (NaN
+    where it takes inf - inf, without a warning), so training stops on it.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -252,13 +269,15 @@ def kd_loss(
         div = _kl_terms(p, logp, logq).sum(axis=-1)
         dgrad = (q - p) / tau
     elif divergence == "reverse-kl":
-        r = logq - logp
+        r = _log_ratio(q, logq, logp)
         div = (q * r).sum(axis=-1)
-        dgrad = q * (r - (q * r).sum(axis=-1, keepdims=True)) / tau
+        with np.errstate(invalid="ignore"):  # inf - inf where div is +inf
+            dgrad = q * (r - (q * r).sum(axis=-1, keepdims=True)) / tau
     else:  # js
         logm = np.logaddexp(logp, logq) - np.log(2.0)
-        div = 0.5 * _kl_terms(p, logp, logm).sum(axis=-1) + 0.5 * (q * (logq - logm)).sum(axis=-1)
-        v = 0.5 * (logq - logm)
+        d = _log_ratio(q, logq, logm)
+        div = 0.5 * _kl_terms(p, logp, logm).sum(axis=-1) + 0.5 * (q * d).sum(axis=-1)
+        v = 0.5 * d
         dgrad = q * (v - (q * v).sum(axis=-1, keepdims=True)) / tau
 
     hard = ce_loss(s, y)
@@ -371,7 +390,7 @@ def make_weights(t, pi, scheme: str, tau_T: float = 1.0) -> np.ndarray:
     plistmle-exponential normalized 2^(C-k) - 1 decay
     """
     t = as_finite_vector(t, "teacher logits")
-    pi = as_ranking(pi, t.shape[0])
+    pi = _one_ranking(pi, t.shape[0])
     return _ascending_weights(t[None], pi[None, ::-1], scheme, tau_T)[0, ::-1]
 
 
@@ -379,7 +398,7 @@ def _ascending_weights(t: np.ndarray, asc: np.ndarray, scheme: str, tau_T: float
     """Weights aligned with the ascending evaluation order (first pick last)."""
     n, c = t.shape
     if scheme == "teacher-softmax":
-        return np.take_along_axis(softmax(t, temperature=tau_T), asc, axis=1)
+        return softmax(t, temperature=tau_T).reshape(-1)[asc + _row_starts(asc.shape)]
     if scheme == "uniform":
         return np.full((n, c), 1.0 / c)
     if scheme == "onehot-first":
@@ -454,7 +473,7 @@ def pld_loss(
     # working set near L2 size roughly halves large-batch wall time (targets too).
     rows_per_chunk = max(16, _PLD_CHUNK_ELEMENTS // c)
     flat = s.reshape(-1, c)
-    grad = np.empty_like(flat)
+    grad = np.empty(flat.shape)  # C-contiguous: _pld_apply writes through flat views
     rows = np.empty(flat.shape[0])
     total = 0.0
     for lo in range(0, flat.shape[0], rows_per_chunk):
@@ -474,8 +493,10 @@ _PLD_CHUNK_ELEMENTS = 1 << 15
 
 def _pld_apply(s, asc, w, grad_out, rows_out) -> float:
     """Loss sum over one chunk of rows in evaluation order ``asc`` with
-    weights ``w``; writes the per-row losses and the unscaled gradient rows."""
-    s_perm = np.take_along_axis(s, asc, axis=1)
+    weights ``w``; writes the per-row losses into ``rows_out`` and the unscaled
+    gradient rows into ``grad_out``, a C-contiguous block of rows."""
+    idx = asc + _row_starts(asc.shape)
+    s_perm = s.reshape(-1)[idx]
     lc = _log_cumsum_exp_rows(s_perm)
     # flat sum and row sums of one product, so the loss keeps its bits
     terms = w * (lc - s_perm)
@@ -498,7 +519,7 @@ def _pld_apply(s, asc, w, grad_out, rows_out) -> float:
         log_tail = _log_cumsum_exp_rows(np.ascontiguousarray(u[:, ::-1]))[:, ::-1]
         grad_perm = np.exp(s_perm + log_tail)
         grad_perm -= w
-    np.put_along_axis(grad_out, asc, grad_perm, axis=1)
+    grad_out.reshape(-1)[idx] = grad_perm
     return loss_sum
 
 
@@ -511,7 +532,7 @@ def pld_gradient_closed_form(s, pi, alpha) -> np.ndarray:
     """
     s = as_finite_vector(s, "logits")
     c = s.shape[0]
-    pi = as_ranking(pi, c)
+    pi = _one_ranking(pi, c)
     w = np.asarray(alpha, dtype=np.float64)
     if w.shape != (c,):
         raise ValueError(f"expected {c} weights, got shape {w.shape}")

@@ -8,6 +8,8 @@ magnitude around 700 (the float64 exp limit) stay representable.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -61,7 +63,7 @@ def as_labels(labels, n_classes: int, n_rows: int | None = None) -> np.ndarray:
         arr = arr.reshape(1)
     if arr.ndim != 1:
         raise ValueError(f"labels must be 1-D, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype.kind not in "iu":
         raise ValueError("labels must be integers")
     arr = arr.astype(np.int64)
     if arr.size and (arr.min() < 0 or arr.max() >= n_classes):
@@ -134,9 +136,14 @@ def _log_cumsum_exp_rows(x: np.ndarray) -> np.ndarray:
     Fast path: rows whose finite spread fits in _FAST_LCSE_SPAN are shifted
     by their max and cumulatively summed in linear space (a sum of positives,
     so every prefix keeps full relative precision).  Wide rows fall back to
-    sequential np.logaddexp, which is exact for any spread.
+    sequential np.logaddexp, which is exact for any spread.  A batch with no
+    -inf entry and every row narrow takes the linear formula after one max
+    and one min pass; every other batch is split by row below.
     """
     m = x.max(axis=1, keepdims=True)
+    lo = x.min(axis=1, keepdims=True)
+    if lo.min() > -np.inf and ((m - lo) < _FAST_LCSE_SPAN).all():  # NaN fails both
+        return np.log(np.cumsum(np.exp(x - m), axis=1)) + m
     m[np.isneginf(m)] = 0.0  # a row of all -inf: log(0) + 0 = -inf
     finite_min = np.where(np.isinf(x), np.inf, x).min(axis=1, keepdims=True)
     narrow = ((m - finite_min) < _FAST_LCSE_SPAN).ravel()
@@ -150,6 +157,13 @@ def _log_cumsum_exp_rows(x: np.ndarray) -> np.ndarray:
     out[narrow] = lin
     out[~narrow] = np.logaddexp.accumulate(x[~narrow], axis=1)
     return out
+
+
+def _row_starts(shape: tuple) -> np.ndarray:
+    """Flat offset of each row (the last axis) of a C-contiguous array of
+    ``shape``, shaped to broadcast over the rows: ``a.reshape(-1)[idx +
+    _row_starts(a.shape)]`` gathers a[..., idx[..., j]] row by row."""
+    return np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1] + (1,))
 
 
 def argsort_stable(v, descending: bool = False) -> np.ndarray:
@@ -166,7 +180,7 @@ def argsort_stable(v, descending: bool = False) -> np.ndarray:
     if descending:
         key = -key
     order = np.argsort(key, axis=-1)
-    sorted_vals = np.take_along_axis(key, order, axis=-1)
+    sorted_vals = key.reshape(-1)[order + _row_starts(key.shape)]
     ties = (sorted_vals[..., 1:] == sorted_vals[..., :-1]).any(axis=-1)
     if ties.any():
         order[ties] = np.argsort(key[ties], axis=-1, kind="stable")

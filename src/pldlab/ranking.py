@@ -17,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from .numerics import argsort_stable, as_finite_vector, log_cumsum_exp
+from .numerics import _log_cumsum_exp_rows, argsort_stable, as_finite_vector, log_cumsum_exp
 
 __all__ = [
     "EnumerationLimitError",
@@ -37,14 +37,15 @@ class EnumerationLimitError(ValueError):
 
 
 def as_ranking(pi, n_classes: int) -> np.ndarray:
-    """Validate ``pi`` as a permutation of 0..n_classes-1."""
+    """Validate ``pi`` as a permutation of 0..n_classes-1, or as a stack
+    (..., n_classes) of rankings whose every row is such a permutation."""
     arr = np.asarray(pi)
-    if arr.ndim != 1 or arr.shape[0] != n_classes:
+    if arr.ndim == 0 or arr.shape[-1] != n_classes:
         raise ValueError(f"ranking must have length {n_classes}, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype.kind not in "iu":
         raise ValueError("ranking must contain integers")
     arr = arr.astype(np.int64)
-    if not np.array_equal(np.sort(arr), np.arange(n_classes)):
+    if not (np.sort(arr, axis=-1) == np.arange(n_classes)).all():
         raise ValueError("ranking is not a permutation of 0..C-1")
     return arr
 
@@ -77,17 +78,24 @@ def ascending_rankings(t_batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return argsort_stable(key)[:, ::-1]
 
 
-def pl_log_likelihood(s, pi) -> float:
+def pl_log_likelihood(s, pi) -> float | np.ndarray:
     """Log-probability of drawing the full ranking ``pi`` from logits ``s``.
+
+    ``pi`` may also be a stack (..., C) of rankings of the same C logits; the
+    result then has shape ``pi.shape[:-1]``, one log-likelihood per ranking,
+    each equal bit for bit to the float of a one-ranking call.
 
     Evaluated with a reversed running log-sum-exp, so the cost is O(C) after
     the permutation gather rather than O(C^2).
     """
     s = as_finite_vector(s, "logits")
-    pi = as_ranking(pi, s.shape[0])
+    c = s.shape[0]
+    pi = as_ranking(pi, c)
     s_perm = s[pi]
-    suffix = log_cumsum_exp(s_perm[::-1])[::-1]
-    return float((s_perm - suffix).sum())
+    # finite by the check above, so the running sums skip log_cumsum_exp's input scan
+    suffix = _log_cumsum_exp_rows(s_perm.reshape(-1, c)[:, ::-1])[:, ::-1]
+    ll = (s_perm - suffix.reshape(s_perm.shape)).sum(axis=-1)
+    return float(ll) if pi.ndim == 1 else ll
 
 
 def pl_enumerate(s) -> list[tuple[tuple[int, ...], float]]:
@@ -108,4 +116,4 @@ def pl_enumerate(s) -> list[tuple[tuple[int, ...], float]]:
     suffix = log_cumsum_exp(s_perm[:, ::-1])[:, ::-1]
     log_probs = (s_perm - suffix).sum(axis=1)
     probs = np.exp(log_probs)
-    return [(tuple(int(i) for i in p), float(q)) for p, q in zip(perms, probs)]
+    return [(tuple(p), q) for p, q in zip(perms.tolist(), probs.tolist())]

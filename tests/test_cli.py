@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from pldlab import cli
@@ -13,7 +14,7 @@ from pldlab.cli import (
     EXIT_VERIFICATION,
     main,
 )
-from pldlab.lab import init_mlp, save_model
+from pldlab.lab import MlpModel, init_mlp, save_model
 from pldlab.numerics import make_rng
 
 TINY_DATASET = {
@@ -223,6 +224,21 @@ class TestDistill:
         assert not (out / "student.json").exists()
         assert not (out / "metrics.csv").exists()
 
+    def test_wide_teacher_reverse_kl_is_training_failure(self, tmp_path, capsys):
+        """Teacher logits 2e308 apart give a class probability 0, where the
+        student's is not: reverse KL is +inf.  The run exits 4 before it writes
+        a model, and no numpy warning reaches stderr."""
+        teacher = MlpModel(layer_sizes=(4, 4), weights=[np.zeros((4, 4))],
+                           biases=[np.array([1e308, -1e308, 0.0, 0.0])])
+        save_model(teacher, tmp_path / "teacher.json")
+        doc = self.distill_doc(tmp_path, kind="kd", divergence="reverse-kl", kd_temperature=1.0)
+        cfg = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "o"
+        assert run(["distill", "--config", cfg, "--out", str(out)]) == EXIT_TRAINING
+        assert not (out / "student.json").exists()
+        assert not (out / "metrics.csv").exists()
+        assert capsys.readouterr().err == "training failure: non-finite loss at epoch 0\n"
+
     @pytest.mark.parametrize(
         "change, code",
         [
@@ -266,6 +282,15 @@ class TestLandscape:
         assert run(["landscape", "--config", cfg, "--out", str(out1)]) == EXIT_OK
         assert run(["landscape", "--config", str(out1 / "config.json"), "--out", str(out2)]) == EXIT_OK
         assert (out1 / "landscape.csv").read_bytes() == (out2 / "landscape.csv").read_bytes()
+
+    def test_huge_finite_span_writes_a_finite_grid(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {**self.DOC, "span": 1e200})
+        out = tmp_path / "o"
+        assert run(["landscape", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = (out / "landscape.csv").read_text().strip().split("\n")[1:]
+        coords = np.array([[float(f) for f in row.split(",")[:2]] for row in rows])
+        assert np.isfinite(coords).all()
+        assert np.abs(coords).max() == pytest.approx(1e200, rel=1e-12)
 
     def test_invalid_spec_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**self.DOC, "resolution": 2})
@@ -323,6 +348,7 @@ class TestInvalidValues:
             ("landscape", {"temperatures": [1.0, 1]}),  # would write 18 rows per 9 points
             ("landscape", {"loss_kinds": ["pld", "kd", "pld"]}),
             ("landscape", {"seed": -1}),
+            ("landscape", {"span": 1.5e308}),  # the grid would overflow to inf
         ],
     )
     def test_usage_error_before_anything_is_written(self, tmp_path, capsys, command, doc):

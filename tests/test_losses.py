@@ -159,6 +159,30 @@ class TestKnowledgeDistillation:
             res = dist_loss(s, t, [0], gamma=0.0, tau=1e-3)
             assert np.isfinite(res.loss) and np.isfinite(res.grad).all()
 
+    def test_student_zero_probability_adds_nothing_to_js(self):
+        """A student row wider than the float64 range gives two classes
+        probability 0: JS counts 0 log 0 = 0 on the student side too, so it
+        stays finite, below log 2, and warns nothing."""
+        s, t = [[1e308, -1e308, 0.0]], [[0.0, 1.0, 2.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = kd_loss(s, t, [0], alpha=0.0, tau=1.0, divergence="js")
+            assert np.isfinite(res.grad).all()
+            assert 0.0 < res.loss < math.log(2.0)
+            assert kd_loss(s, t, [0], tau=1.0, divergence="js").loss == pytest.approx(
+                0.9 * res.loss, rel=1e-15)  # CE on the label of probability 1 is 0
+
+    def test_reverse_kl_infinite_row_has_non_finite_gradient(self):
+        """Reverse KL is +inf where the teacher gives 0 and the student does
+        not.  That row's gradient is not finite in any entry, and nothing warns."""
+        s, t = [[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]], [[1e308, -1e308, 0.0], [0.0, 1.0, 2.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = kd_loss(s, t, [0, 0], tau=1.0, divergence="reverse-kl")
+        assert res.loss == np.inf and res.rows[0] == np.inf
+        assert not np.isfinite(res.grad[0]).any()
+        assert np.isfinite(res.rows[1]) and np.isfinite(res.grad[1]).all()
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             kd_loss([[0.0, 1.0]], [[0.0, 1.0]], [0], alpha=1.5)
@@ -245,6 +269,15 @@ class TestMakeWeights:
     def test_bad_temperature(self):
         with pytest.raises(ValueError):
             make_weights([0.0, 1.0], [0, 1], "teacher-softmax", 0.0)
+
+    def test_stack_of_rankings_rejected(self):
+        """as_ranking takes stacks; make_weights and the closed-form gradient
+        read one ranking and reject the rest."""
+        pis = [[0, 1], [1, 0]]
+        with pytest.raises(ValueError, match="length 2"):
+            make_weights([0.0, 1.0], pis, "teacher-softmax")
+        with pytest.raises(ValueError, match="length 2"):
+            pld_gradient_closed_form([0.0, 1.0], pis, [0.5, 0.5])
 
 
 class TestPldLoss:

@@ -335,3 +335,15 @@ class TestValidators:
     def test_vector_rejects_matrix(self):
         with pytest.raises(ValueError):
             as_finite_vector(np.zeros((2, 2)))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(x=lcse_rows(("narrow",)), data=st.data())
+def test_log_cumsum_exp_rows_shortcut_uses_the_general_formula(x, data):
+    """A narrow batch without -inf takes the early return; with one more row
+    holding a -inf it takes the general path.  Their shared rows agree bit for bit."""
+    extra = x[:1].copy()
+    extra[0, data.draw(st.integers(0, x.shape[1] - 1))] = -np.inf
+    short = _log_cumsum_exp_rows(x)
+    general = _log_cumsum_exp_rows(np.concatenate([x, extra]))
+    assert short.tobytes() == general[:-1].tobytes()

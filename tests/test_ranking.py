@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pldlab.numerics import make_rng
 from pldlab.ranking import (
@@ -105,6 +107,45 @@ class TestPlLogLikelihood:
             pl_log_likelihood([0.0, 1.0, 2.0], [0, 1])
         with pytest.raises(ValueError):
             pl_log_likelihood([0.0, 1.0], [0, 0])
+
+
+@st.composite
+def ranking_stacks(draw):
+    """Logits of C = 2..12 classes, some with a spread above 600 (the
+    log-space path of the running sums), and a stack (..., C) of rankings."""
+    c = draw(st.integers(2, 12))
+    s = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=c, max_size=c)))
+    if draw(st.booleans()):
+        s[draw(st.integers(0, c - 1))] = s.max() + 600.0 + draw(st.floats(1.0, 900.0))
+    lead = draw(st.sampled_from([(1,), (5,), (2, 3)]))
+    perms = st.permutations(range(c))
+    pis = np.array([draw(perms) for _ in range(math.prod(lead))]).reshape(lead + (c,))
+    return s, pis
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=ranking_stacks())
+def test_stacked_rankings_equal_one_ranking_calls(case):
+    s, pis = case
+    got = pl_log_likelihood(s, pis)
+    assert isinstance(got, np.ndarray) and got.shape == pis.shape[:-1]
+    for idx in np.ndindex(*pis.shape[:-1]):
+        one = pl_log_likelihood(s, pis[idx])
+        assert type(one) is float
+        assert got[idx].tobytes() == np.float64(one).tobytes()
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(case=ranking_stacks(), data=st.data())
+def test_stack_with_one_non_permutation_row_raises(case, data):
+    s, pis = case
+    c = pis.shape[-1]
+    flat = pis.reshape(-1, c).copy()
+    row = data.draw(st.integers(0, flat.shape[0] - 1))
+    i, j = data.draw(st.lists(st.integers(0, c - 1), min_size=2, max_size=2, unique=True))
+    flat[row, i] = flat[row, j]  # one class twice, another missing
+    with pytest.raises(ValueError, match="permutation"):
+        pl_log_likelihood(s, flat.reshape(pis.shape))
 
 
 class TestPlEnumerate:
