@@ -6,8 +6,9 @@ JSON config file (unknown keys are rejected), then command-line flags, and
 validates it.  Only a valid configuration is echoed to ``<out>/config.json``,
 so any run can be reproduced exactly from its own artifacts.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 verification
-failure, 4 training failure, 5 I/O error.
+Exit codes: 0 success, 2 usage or configuration error (a size beyond the
+host's memory included), 3 verification failure, 4 training failure, 5 I/O
+error.
 """
 
 from __future__ import annotations
@@ -572,6 +573,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:  # a size in the config beyond this host's memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

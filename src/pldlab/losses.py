@@ -281,9 +281,10 @@ def kd_loss(
         dgrad = q * (v - (q * v).sum(axis=-1, keepdims=True)) / tau
 
     hard = ce_loss(s, y)
-    loss = alpha * hard.loss + (1.0 - alpha) * tau**2 * div.mean(axis=-1)
-    grad = alpha * hard.grad + (1.0 - alpha) * tau**2 * dgrad / n
-    rows = alpha * hard.rows + (1.0 - alpha) * tau**2 * div
+    with np.errstate(over="ignore"):  # a divergence beyond the float64 range is +inf
+        loss = alpha * hard.loss + (1.0 - alpha) * tau**2 * div.mean(axis=-1)
+        grad = alpha * hard.grad + (1.0 - alpha) * tau**2 * dgrad / n
+        rows = alpha * hard.rows + (1.0 - alpha) * tau**2 * div
     return LossResult(_per_batch(loss), grad, rows)
 
 
@@ -483,9 +484,25 @@ def pld_loss(
         total += _pld_apply(flat[part], asc, w, grad[part], rows[part])
     grad /= n
     if s.ndim == 2:
-        return LossResult(total / n, grad, rows)
+        loss = total / n if total < np.inf else float(_scaled_mean(rows))  # sum overflowed
+        return LossResult(loss, grad, rows)
     rows = rows.reshape(s.shape[:-1])
-    return LossResult(rows.sum(axis=-1) / n, grad.reshape(s.shape), rows)
+    with np.errstate(over="ignore"):
+        loss = rows.sum(axis=-1) / n
+    over = np.isinf(loss)
+    if over.any():
+        loss[over] = _scaled_mean(rows[over])
+    return LossResult(loss, grad.reshape(s.shape), rows)
+
+
+def _scaled_mean(rows: np.ndarray) -> np.ndarray:
+    """Mean over the last axis of nonnegative row losses as m * ((rows / m).sum()
+    / n), m the largest row.  Each ratio is at most 1, so the mean of finite rows
+    stays finite where their plain sum overflows; a row of +inf gives +inf."""
+    m = rows.max(axis=-1)
+    with np.errstate(invalid="ignore"):  # inf / inf, replaced below
+        mean = m * ((rows / m[..., None]).sum(axis=-1) / rows.shape[-1])
+    return np.where(np.isinf(m), np.inf, mean)
 
 
 _PLD_CHUNK_ELEMENTS = 1 << 15
@@ -500,8 +517,9 @@ def _pld_apply(s, asc, w, grad_out, rows_out) -> float:
     lc = _log_cumsum_exp_rows(s_perm)
     # flat sum and row sums of one product, so the loss keeps its bits
     terms = w * (lc - s_perm)
-    loss_sum = float(terms.sum())
-    terms.sum(axis=1, out=rows_out)
+    with np.errstate(over="ignore"):  # huge finite rows: pld_loss rescales their mean
+        loss_sum = float(terms.sum())
+        terms.sum(axis=1, out=rows_out)
 
     # d/ds at sorted position j is exp(s_j) * sum_{m>=j} w_m / Z_m - w_j with
     # Z_m the running normalizer exp(lc_m).  When every lc is moderate the

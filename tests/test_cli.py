@@ -239,6 +239,22 @@ class TestDistill:
         assert not (out / "metrics.csv").exists()
         assert capsys.readouterr().err == "training failure: non-finite loss at epoch 0\n"
 
+    def test_wide_teacher_reverse_kl_at_default_temperature_is_training_failure(
+        self, tmp_path, capsys
+    ):
+        """At the default tau 2 the same teacher gives a finite divergence whose
+        scaled mean is beyond the float64 range: exit 4 with only the one-line
+        message on stderr."""
+        teacher = MlpModel(layer_sizes=(4, 4), weights=[np.zeros((4, 4))],
+                           biases=[np.array([1e308, -1e308, 0.0, 0.0])])
+        save_model(teacher, tmp_path / "teacher.json")
+        doc = self.distill_doc(tmp_path, kind="kd", divergence="reverse-kl")
+        cfg = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "o"
+        assert run(["distill", "--config", cfg, "--out", str(out)]) == EXIT_TRAINING
+        assert not (out / "student.json").exists()
+        assert capsys.readouterr().err == "training failure: non-finite loss at epoch 0\n"
+
     @pytest.mark.parametrize(
         "change, code",
         [
@@ -291,6 +307,22 @@ class TestLandscape:
         coords = np.array([[float(f) for f in row.split(",")[:2]] for row in rows])
         assert np.isfinite(coords).all()
         assert np.abs(coords).max() == pytest.approx(1e200, rel=1e-12)
+
+    def test_huge_span_is_silent(self, tmp_path, capsys):
+        """At span 1e307 the pld rows of a grid point are finite but their flat
+        sum over a 9x9 grid is not; the run writes its grid and stderr stays empty."""
+        doc = {**self.DOC, "resolution": 9, "temperatures": [1.0], "loss_kinds": ["pld"]}
+        cfg = write_config(tmp_path, "c.json", {**doc, "span": 1e307})
+        assert run(["landscape", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_size_beyond_memory_is_usage_error(self, tmp_path, capsys):
+        """1e17 classes need about 711 PiB, beyond any address space, so the
+        allocation fails at once: exit 2 with a one-line message."""
+        cfg = write_config(tmp_path, "c.json", {**self.DOC, "n_classes": 10**17})
+        assert run(["landscape", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
 
     def test_invalid_spec_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**self.DOC, "resolution": 2})

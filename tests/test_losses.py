@@ -183,6 +183,16 @@ class TestKnowledgeDistillation:
         assert not np.isfinite(res.grad[0]).any()
         assert np.isfinite(res.rows[1]) and np.isfinite(res.grad[1]).all()
 
+    def test_reverse_kl_beyond_float_range_at_default_temperature_is_silent(self):
+        """At tau 2 the teacher's far class keeps a log-probability near -1e308,
+        so the divergence is finite but its tau^2-scaled mean and rows are beyond
+        the float64 range: they are +inf, and nothing warns."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = kd_loss([[0.0, 1.0, 2.0, 3.0]], [[1e308, -1e308, 0.0, 0.0]], [0],
+                          tau=2.0, divergence="reverse-kl")
+        assert res.loss == np.inf and res.rows[0] == np.inf
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             kd_loss([[0.0, 1.0]], [[0.0, 1.0]], [0], alpha=1.5)
@@ -288,6 +298,24 @@ class TestPldLoss:
         assert np.isfinite(res.loss) and np.isfinite(res.grad).all()
         plain = pld_loss([[0.0, 1.0]], [[1.0, 0.0]], [0], scheme="onehot-first")
         assert res.loss == plain.loss  # the weights are one-hot on the label
+
+    def test_rows_whose_sum_overflows_have_a_finite_mean(self):
+        """Each row loss is about 4e307 (the label's logit 1.6e308 below the
+        other), so the flat sum of 8 rows overflows: the batch loss is still the
+        finite mean, and nothing warns, for a batch and for a stack."""
+        s = np.tile([8e307, -8e307], (8, 1))
+        s[1::2] *= 0.5  # rows of two sizes
+        t, y = np.tile([1.0, 0.0], (8, 1)), np.ones(8, dtype=int)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = pld_loss(s, t, y)
+            stack = pld_loss(np.stack([s, 0.25 * s, 0.5 * s]), t, y)
+            small = pld_loss(0.25 * s, t, y)
+        assert np.isfinite(res.rows).all() and res.rows.min() > 1e307
+        np.testing.assert_allclose(res.loss, (res.rows / 8).sum(), rtol=1e-15)
+        assert stack.rows[0].tobytes() == res.rows.tobytes()
+        assert stack.loss[0] == res.loss and stack.loss[1] == small.loss
+        assert np.isfinite(stack.loss).all()
 
     @pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
     def test_apply_on_targets_equals_pld_loss(self, scheme):

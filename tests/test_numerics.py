@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from pldlab.numerics import (
     _FAST_LCSE_SPAN,
+    _PACKED_SORT_MIN_WORK,
     _log_cumsum_exp_rows,
+    _packed_argsort,
     argsort_stable,
     as_finite_vector,
     log_cumsum_exp,
@@ -245,7 +247,86 @@ def test_argsort_stable_matches_numpy_stable_sort(rows, descending):
     np.testing.assert_array_equal(argsort_stable(v, descending=descending), want)
 
 
+def numpy_stable(v, descending):
+    return np.argsort(-v if descending else v, axis=-1, kind="stable")
+
+
+def takes_packed_path(v):
+    return v.size * v.shape[-1].bit_length() >= _PACKED_SORT_MIN_WORK
+
+
+@st.composite
+def sort_rows(draw):
+    """A stack (..., N, C) drawn from a pool of up to 8 values that mixes near
+    neighbours of one value (nextafter steps and low-mantissa offsets, which
+    share the packed keys' high bits), +-0.0, +-inf, subnormals and a 0.5 grid."""
+    c = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65]))
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=2))) + (draw(st.integers(1, 4)), c)
+    base = draw(st.sampled_from([1.0, -1.0, 0.75, 1e-310, -3.0e300, 5e-324, 0.0]))
+    ulp = np.spacing(abs(base))
+    near = st.integers(-3, 3).map(lambda k: base + k * ulp)
+    step = st.sampled_from([np.nextafter(base, np.inf), np.nextafter(base, -np.inf), base])
+    special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308])
+    grid = st.integers(-6, 6).map(lambda k: k / 2)
+    pool = draw(st.lists(st.one_of(near, step, special, grid), min_size=1, max_size=8))
+    return np.random.default_rng(draw(st.integers(0, 2**32))).choice(pool, size=shape)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(v=sort_rows(), descending=st.booleans())
+def test_packed_argsort_matches_numpy_stable_sort(v, descending):
+    """The packed sort and the public call both give numpy's stable order."""
+    want = numpy_stable(v, descending)
+    np.testing.assert_array_equal(_packed_argsort(v, descending), want)
+    np.testing.assert_array_equal(argsort_stable(v, descending=descending), want)
+
+
 class TestArgsortStable:
+    def test_bucket_collision_takes_the_fallback(self):
+        """1.0 and the next float differ only in the lowest mantissa bit, which
+        a row of C = 2 replaces by the column index, so their packed keys sort
+        by index and put the larger value first.  Only the checked fallback
+        puts 1.0 first; in a wide stack it redoes that row alone."""
+        up = np.nextafter(1.0, 2.0)
+        np.testing.assert_array_equal(_packed_argsort(np.array([up, 1.0]), False), [1, 0])
+        np.testing.assert_array_equal(_packed_argsort(np.array([1.0, up]), True), [1, 0])
+        rng = make_rng(12)
+        m = np.round(2.0 * rng.normal(size=(3, 1000))) / 2.0
+        m[1, 0], m[1, 999] = 1.0 + 2 * np.spacing(1.0), 1.0  # one bucket for C = 1000
+        assert takes_packed_path(m)
+        for desc in (False, True):
+            np.testing.assert_array_equal(argsort_stable(m, descending=desc), numpy_stable(m, desc))
+
+    @pytest.mark.parametrize("c", [3, 1000])
+    def test_nan_sorts_last_in_index_order(self, c):
+        """As in numpy: every NaN, of either sign, goes last, lower index first,
+        ascending and descending; rows without a NaN are unaffected."""
+        rng = make_rng(13)
+        v = rng.normal(size=(3, c))
+        v[0, :3] = [np.nan, -np.inf, -np.nan]
+        v[2, -1] = np.nan
+        for desc in (False, True):
+            want = numpy_stable(v, desc)
+            np.testing.assert_array_equal(argsort_stable(v, descending=desc), want)
+            np.testing.assert_array_equal(_packed_argsort(v, desc), want)
+
+    def test_wide_input_takes_the_packed_path(self):
+        """A 1-D row, a stack and a transposed (not C-contiguous) stack large
+        enough for the packed sort, continuous, tied and with a fallback row,
+        equal numpy's stable sort."""
+        rng = make_rng(14)
+        for shape in [(1000,), (2, 5, 300), (300, 5, 2)]:
+            x = rng.normal(size=shape)
+            if shape[0] == 300:
+                x = x.transpose(2, 1, 0)
+            x[(1,) * (x.ndim - 1)][[0, -1]] = 1.0 + 2 * np.spacing(1.0), 1.0
+            assert takes_packed_path(x)
+            for v in (x, np.round(2.0 * x) / 2.0, -np.abs(x), np.zeros(x.shape)):
+                for desc in (False, True):
+                    np.testing.assert_array_equal(
+                        argsort_stable(v, descending=desc), numpy_stable(v, desc)
+                    )
+
     def test_descending_example(self):
         np.testing.assert_array_equal(
             argsort_stable([0.1, 2.0, -1.0], descending=True), [1, 0, 2]
