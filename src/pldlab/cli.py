@@ -64,8 +64,10 @@ class VerificationFailure(RuntimeError):
     """A check suite ran to completion and found violations."""
 
 
-# Every default comes from the library.  The dataset adds label noise, the
-# one value the command line chooses for itself.
+# The loss, optimizer and landscape blocks are their library dataclasses' fields,
+# and the dataset block is make_blobs's defaults plus label noise.  The rest is set
+# here: the losscheck, gradcheck and bench blocks, seeds, layer_sizes, batch_size
+# and epochs (train-teacher runs 20 where train_teacher's signature says 40).
 _DATASET_DEFAULTS = {
     name: p.default for name, p in inspect.signature(make_blobs).parameters.items()
 }

@@ -1,11 +1,10 @@
 """Adaptive-moment optimizer with decoupled weight decay and bias correction.
 
-A step updates the parameter arrays and both moment arrays in place, with
-two scratch buffers kept in the state, so it allocates no array of the
-parameters' size.  Given one flat parameter vector (``MlpModel.params``)
-and one flat gradient, a step is one pass over every layer at once; the
-arithmetic is elementwise, so the bits do not depend on how the
-parameters are split into arrays.
+A step updates one flat parameter vector (``MlpModel.params``) and both
+moment vectors in place from one flat gradient, with two scratch buffers
+kept in the state, so it allocates no array of the parameters' size.  The
+arithmetic is elementwise, so one pass covers every layer at once and the
+bits do not depend on how the layers are laid out in the vector.
 """
 
 from __future__ import annotations
@@ -40,29 +39,27 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """Step count, one first- and one second-moment array per parameter
-    array (updated in place), and two flat scratch buffers as long as the
-    largest parameter array."""
+    """Step count, the first- and second-moment vectors (updated in place)
+    and two scratch buffers, all shaped like the parameter vector."""
 
     step: int
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     scratch: tuple
 
 
-def init_optimizer(params) -> OptimizerState:
-    size = max((p.size for p in params), default=0)
+def init_optimizer(params: np.ndarray) -> OptimizerState:
     return OptimizerState(
         step=0,
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-        scratch=(np.empty(size), np.empty(size)),
+        m=np.zeros_like(params),
+        v=np.zeros_like(params),
+        scratch=(np.empty_like(params), np.empty_like(params)),
     )
 
 
-def step_optimizer(params, grads, state: OptimizerState, cfg: OptimizerConfig):
-    """One update of the parameter arrays and moments in place; returns
-    (params, state) with the same parameter list.
+def step_optimizer(params, grad, state: OptimizerState, cfg: OptimizerConfig):
+    """One update of the parameter vector and moments in place; returns
+    (params, state).
 
     The update is m = beta1*m + (1-beta1)*g, v = beta2*v + ((1-beta2)*g)*g,
     p -= lr * ((m/bc1) / (sqrt(v/bc2) + eps) + weight_decay*p), evaluated
@@ -72,30 +69,28 @@ def step_optimizer(params, grads, state: OptimizerState, cfg: OptimizerConfig):
     gradient g is -lr * (g / (|g| + eps) + weight_decay * p), i.e. a
     sign-scaled step: bias correction cancels the (1 - beta) factors.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("parameter, gradient, and state lists must align")
+    p, g, m, v = params, grad, state.m, state.v
+    if not p.shape == g.shape == m.shape == v.shape:
+        raise ValueError(f"gradient and moment shapes must equal parameter shape {p.shape}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - cfg.beta1**t
     bc2 = 1.0 - cfg.beta2**t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        a, b = (buf[: p.size].reshape(p.shape) for buf in state.scratch)
-        m *= cfg.beta1
-        np.multiply(g, 1.0 - cfg.beta1, out=a)
-        m += a
-        v *= cfg.beta2
-        np.multiply(g, 1.0 - cfg.beta2, out=a)
-        a *= g
-        v += a
-        np.divide(v, bc2, out=a)
-        np.sqrt(a, out=a)
-        a += cfg.eps  # the denominator
-        np.divide(m, bc1, out=b)
-        b /= a
-        np.multiply(p, cfg.weight_decay, out=a)
-        b += a  # the step
-        b *= cfg.learning_rate
-        p -= b
+    a, b = state.scratch
+    m *= cfg.beta1
+    np.multiply(g, 1.0 - cfg.beta1, out=a)
+    m += a
+    v *= cfg.beta2
+    np.multiply(g, 1.0 - cfg.beta2, out=a)
+    a *= g
+    v += a
+    np.divide(v, bc2, out=a)
+    np.sqrt(a, out=a)
+    a += cfg.eps  # the denominator
+    np.divide(m, bc1, out=b)
+    b /= a
+    np.multiply(p, cfg.weight_decay, out=a)
+    b += a  # the step
+    b *= cfg.learning_rate
+    p -= b
     return params, state

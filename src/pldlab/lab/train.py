@@ -72,8 +72,8 @@ def _run_epochs(
     teacher_test: np.ndarray | None,
 ):
     n = dataset.train_features.shape[0]
-    params, grad = [model.params], [np.empty_like(model.params)]
-    state = init_optimizer(params)
+    grad = np.empty_like(model.params)
+    state = init_optimizer(model.params)
     records = []
     step_losses = []
     for epoch in range(epochs):
@@ -89,8 +89,8 @@ def _run_epochs(
             result = loss_fn(logits, idx, yb)
             if not np.isfinite(result.loss):
                 raise TrainingFailure(f"non-finite loss at epoch {epoch}")
-            backward(model, result.grad, acts, out=grad[0])
-            step_optimizer(params, grad, state, opt_cfg)
+            backward(model, result.grad, acts, out=grad)
+            step_optimizer(model.params, grad, state, opt_cfg)
             epoch_losses.append(result.loss)
             step_losses.append(result.loss)
         test_logits = forward(model, dataset.test_features)

@@ -154,14 +154,9 @@ def _log_cumsum_exp_rows(x: np.ndarray) -> np.ndarray:
     m[np.isneginf(m)] = 0.0  # a row of all -inf: log(0) + 0 = -inf
     finite_min = np.where(np.isinf(x), np.inf, x).min(axis=1, keepdims=True)
     narrow = ((m - finite_min) < _FAST_LCSE_SPAN).ravel()
-    every = narrow.all()
-    xs, ms = (x, m) if every else (x[narrow], m[narrow])
-    with np.errstate(divide="ignore"):  # log(0) = -inf for -inf prefixes
-        lin = np.log(np.cumsum(np.exp(xs - ms), axis=1)) + ms
-    if every:
-        return lin
     out = np.empty_like(x)
-    out[narrow] = lin
+    with np.errstate(divide="ignore"):  # log(0) = -inf for -inf prefixes
+        out[narrow] = np.log(np.cumsum(np.exp(x[narrow] - m[narrow]), axis=1)) + m[narrow]
     out[~narrow] = np.logaddexp.accumulate(x[~narrow], axis=1)
     return out
 
@@ -179,27 +174,30 @@ def argsort_stable(v, descending: bool = False) -> np.ndarray:
 
     The result equals ``np.argsort(-v if descending else v, axis=-1,
     kind="stable")``, NaN included (every NaN sorts last, in index order), and
-    -0.0 ties with +0.0.  Small inputs (see _PACKED_SORT_MIN_WORK) take that
-    call as is; larger ones take _packed_argsort, one sort of int64 keys.
+    -0.0 ties with +0.0.  The key is negated once when descending; small keys
+    (see _PACKED_SORT_MIN_WORK) then take that call as is, and larger ones
+    take _packed_argsort, one sort of int64 keys.
     """
     key = np.asarray(v, dtype=np.float64)
     if key.ndim == 0 or key.size == 0:
         raise ValueError("argsort_stable needs a nonempty array of at least one axis")
+    if descending:
+        key = -key
     if key.size * key.shape[-1].bit_length() < _PACKED_SORT_MIN_WORK:
-        return np.argsort(-key if descending else key, axis=-1, kind="stable")
-    return _packed_argsort(key, descending)
+        return np.argsort(key, axis=-1, kind="stable")
+    return _packed_argsort(key)
 
 
-def _packed_argsort(key: np.ndarray, descending: bool) -> np.ndarray:
-    """argsort_stable of a nonempty float64 array by one sort of packed keys.
+def _packed_argsort(key: np.ndarray) -> np.ndarray:
+    """Ascending argsort_stable of a nonempty float64 array by one sort of packed keys.
 
     Each float maps to the int64 whose signed order is the float order (the
     sign-magnitude bits as two's complement, so -0.0 and +0.0 both map to
-    0; negated when descending).  Its low b = (C-1).bit_length() bits are
-    replaced by the column index, so equal floats sort by index.  Distinct
-    floats within 2^b ulps can share the high bits and sort by index too:
-    rows where two neighbours share them are checked by their values, as are
-    rows holding a NaN, and a row that fails takes numpy's stable argsort.
+    0).  Its low b = (C-1).bit_length() bits are replaced by the column
+    index, so equal floats sort by index.  Distinct floats within 2^b ulps
+    can share the high bits and sort by index too: rows where two neighbours
+    share them are checked by their values, as are rows holding a NaN, and a
+    row that fails takes numpy's stable argsort.
     """
     key = np.ascontiguousarray(key)  # so flat offsets and reshapes are views
     c = key.shape[-1]
@@ -209,10 +207,7 @@ def _packed_argsort(key: np.ndarray, descending: bool) -> np.ndarray:
     neg = u >> 63  # -1 where the sign bit is set, else 0
     k = u & _MAGNITUDE
     k ^= neg
-    if descending:
-        np.subtract(neg, k, out=k)
-    else:
-        k -= neg
+    k -= neg
     k &= ~low
     k |= np.arange(c)
     k.sort(axis=-1)
@@ -228,11 +223,9 @@ def _packed_argsort(key: np.ndarray, descending: bool) -> np.ndarray:
         idx = flat[rows]
         idx += (rows * c)[:, None]
         vals = key.reshape(-1)[idx]
-        lo, hi = (vals[:, 1:], vals[:, :-1]) if descending else (vals[:, :-1], vals[:, 1:])
-        bad = rows[~(hi >= lo).all(axis=1)]  # NaN fails >=
+        bad = rows[~(vals[:, 1:] >= vals[:, :-1]).all(axis=1)]  # NaN fails >=
         if bad.size:
-            redo = key.reshape(-1, c)[bad]
-            flat[bad] = np.argsort(-redo if descending else redo, axis=-1, kind="stable")
+            flat[bad] = np.argsort(key.reshape(-1, c)[bad], axis=-1, kind="stable")
     return order
 
 

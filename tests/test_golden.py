@@ -1,15 +1,18 @@
-"""The default verify artifacts and the pld kernel keep their bytes.
+"""The default verify artifacts, a small training run and the pld kernel
+keep their bytes.
 
 ``losscheck`` and ``landscape`` at their default configs must write the
-bytes recorded below, and ``pld_loss`` on two seeded 32 x 1000 batches must
-return them (loss, gradient and rows).  A change that moves these bits on
-purpose, such as a sort that moves a permutation, says so in CHANGES.md and
-records the new digests here.  exp and log round differently
+bytes recorded below, as must a two-epoch teacher and pld student run, and
+``pld_loss`` on two seeded 32 x 1000 batches must return them (loss,
+gradient and rows).  A change that moves these bits on purpose, such as a
+sort that moves a permutation, says so in CHANGES.md and records the new
+digests here.  exp and log round differently
 across numpy builds and the SIMD targets numpy dispatches to, so the digests
 hold for the build they were recorded on, and the test skips anywhere else.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -24,6 +27,14 @@ DIGESTS = {
                   "ffded448a159f9ffc32769a82a4c7142563479dbcfd76807bfb5686de1cb0cdd"),
     "landscape": ("landscape.csv",
                   "4944e9b8cf01180a56bc020c0935336472f4fe3a675f6525bb22a054c0ab8eb8"),
+}
+
+# a [16, 32, 10] teacher and a pld student of the same shape, 2 epochs each
+TRAINING_DIGESTS = {
+    "teacher/teacher.json": "4dfd7a7886eae086f55d4c2c9ccd510f32544a2a5105d600c352758cdc1e9380",
+    "teacher/metrics.csv": "24a8dc81637082ec04d54e72be9e4ec3955650b729236452176dd0af9adeb00d",
+    "student/student.json": "0454c498802842eb74537a73761a28147ed81abdca446a0b9d64f535580c680a",
+    "student/metrics.csv": "ad9cb26b749d5c0727a38d3313e5d47293b301811e88dcfcb49a697b654876fc",
 }
 
 
@@ -47,6 +58,24 @@ def test_default_artifact_keeps_its_bytes(tmp_path, command):
     assert main([command, "--out", str(tmp_path)]) == EXIT_OK
     name, digest = DIGESTS[command]
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_small_training_run_keeps_its_bytes(tmp_path):
+    """The Adam step, forward and backward of train_teacher and a pld
+    distill_student keep their bits, seen through the files they write."""
+    skip_other_builds()
+    teacher_cfg, student_cfg = tmp_path / "teacher.cfg", tmp_path / "student.cfg"
+    teacher_cfg.write_text(json.dumps({"layer_sizes": [16, 32, 10], "epochs": 2}))
+    student_cfg.write_text(json.dumps(
+        {"teacher": str(tmp_path / "teacher" / "teacher.json"), "loss": {"kind": "pld"},
+         "epochs": 2}
+    ))
+    for command, cfg, out in (("train-teacher", teacher_cfg, "teacher"),
+                              ("distill", student_cfg, "student")):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / out)]) == EXIT_OK
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in TRAINING_DIGESTS}
+    assert got == TRAINING_DIGESTS
 
 
 @pytest.mark.parametrize("mix", sorted(KERNEL_DIGESTS))

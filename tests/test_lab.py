@@ -206,33 +206,47 @@ class TestSerialization:
 
 class TestOptimizer:
     def test_zero_gradients_no_decay_leave_params(self):
-        p = [np.array([1.0, -2.0])]
-        g = [np.zeros(2)]
+        p = np.array([1.0, -2.0])
+        g = np.zeros(2)
         cfg = OptimizerConfig(weight_decay=0.0)
         state = init_optimizer(p)
-        before = p[0].copy()
+        before = p.copy()
         updated = step_optimizer(p, g, state, cfg)[0]
-        np.testing.assert_array_equal(updated[0], before)
+        np.testing.assert_array_equal(updated, before)
 
     def test_first_step_closed_form_scalar(self):
         cfg = OptimizerConfig(learning_rate=0.1, weight_decay=0.0)
-        p = [np.array([0.5])]
-        g = [np.array([0.3])]
+        p = np.array([0.5])
+        g = np.array([0.3])
         state = init_optimizer(p)
-        out = step_optimizer(p, g, state, cfg)[0][0][0]
+        out = step_optimizer(p, g, state, cfg)[0][0]
         expected = 0.5 - 0.1 * (0.3 / (np.sqrt(0.3**2) + cfg.eps))
         assert out == pytest.approx(expected, rel=1e-12)
 
     def test_quadratic_bowl_monotone_decrease(self):
         cfg = OptimizerConfig(learning_rate=0.05, weight_decay=0.0)
-        p = [np.array([3.0, -2.0])]
+        p = np.array([3.0, -2.0])
         state = init_optimizer(p)
         prev = np.inf
         for _ in range(100):
-            val = 0.5 * (p[0] ** 2).sum()
+            val = 0.5 * (p**2).sum()
             assert val <= prev + 1e-12
             prev = val
-            p, state = step_optimizer(p, [p[0].copy()], state, cfg)
+            p, state = step_optimizer(p, p.copy(), state, cfg)
+
+    def test_step_rejects_misshapen_gradient_or_moments(self):
+        """A gradient or a moment vector not shaped like the parameter vector
+        is refused before anything is updated."""
+        p = np.array([1.0, -2.0, 3.0])
+        state = init_optimizer(p)
+        with pytest.raises(ValueError, match="parameter shape"):
+            step_optimizer(p, np.ones(2), state, OptimizerConfig())
+        for moment in ("m", "v"):
+            bad = dataclasses.replace(state, **{moment: np.zeros((3, 1))})
+            with pytest.raises(ValueError, match="parameter shape"):
+                step_optimizer(p, np.ones(3), bad, OptimizerConfig())
+        assert state.step == 0
+        np.testing.assert_array_equal(p, [1.0, -2.0, 3.0])
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(ValueError):
@@ -544,7 +558,7 @@ def test_in_place_step_matches_out_of_place_oracle(
     ref_m = [np.zeros_like(p) for p in ref]
     ref_v = [np.zeros_like(p) for p in ref]
     cfg = OptimizerConfig(learning_rate=0.05, beta1=beta1, weight_decay=weight_decay)
-    params, grad = [model.params], [np.empty_like(model.params)]
+    params, grad = model.params, np.empty_like(model.params)
     state = init_optimizer(params)
     for t in range(1, 5):
         x = rng.normal(size=(batch, sizes[0]))
@@ -552,7 +566,7 @@ def test_in_place_step_matches_out_of_place_oracle(
         logits, acts = forward_trace(model, x)
         ref_logits, ref_acts = _oracle_forward_trace(weights, biases, x)
         _assert_bits_equal(logits, ref_logits)
-        pairs = backward(model, up, acts, out=grad[0])
+        pairs = backward(model, up, acts, out=grad)
         ref_pairs = _oracle_backward(weights, up, ref_acts)
         for (dw, db), (ref_dw, ref_db) in zip(pairs, ref_pairs):
             np.testing.assert_array_equal(dw, ref_dw)  # -0.0 may stand for +0.0
@@ -566,9 +580,9 @@ def test_in_place_step_matches_out_of_place_oracle(
 def test_optimizer_step_allocates_no_parameter_sized_array():
     """After one warm-up step, a step on the default teacher's 72,714
     parameters allocates less than a tenth of one parameter vector."""
-    params = [init_mlp([16, 256, 256, 10], make_rng(70)).params]
-    assert params[0].size == 72_714
-    grads = [make_rng(71).normal(size=params[0].size)]
+    params = init_mlp([16, 256, 256, 10], make_rng(70)).params
+    assert params.size == 72_714
+    grads = make_rng(71).normal(size=params.size)
     state = init_optimizer(params)
     step_optimizer(params, grads, state, OptimizerConfig())
     tracemalloc.start()
@@ -578,7 +592,7 @@ def test_optimizer_step_allocates_no_parameter_sized_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.1 * params[0].nbytes
+    assert peak < 0.1 * params.nbytes
 
 
 def test_layers_are_views_of_the_flat_vector(tmp_path):

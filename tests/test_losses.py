@@ -3,11 +3,16 @@
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pldlab.losses as losses
 from pldlab.losses import (
+    DIVERGENCES,
     DistillLossConfig,
     LOSS_KINDS,
     STANDARDIZE_MODES,
@@ -26,7 +31,7 @@ from pldlab.losses import (
     standardize_rows,
     student_teacher_kl,
 )
-from pldlab.numerics import make_rng
+from pldlab.numerics import make_rng, softmax
 from pldlab.ranking import pl_enumerate, pl_log_likelihood, teacher_optimal_permutation
 
 
@@ -874,3 +879,106 @@ def test_kernel_rejects_bad_temperature(kernel, tau):
     s, t, y = random_batch(rng, 3, 4)
     with pytest.raises(ValueError):
         kernel(s, t, y, tau=tau)
+
+
+@st.composite
+def narrow_pld_cases(draw):
+    """A pld batch whose student rows span at most a few tens of nats, with
+    continuous or tied (0.5 grid) teacher logits, any labels, weight scheme
+    and teacher temperature."""
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    n, c = draw(st.integers(1, 4)), draw(st.integers(2, 12))
+    s = rng.normal(size=(n, c)) * draw(st.sampled_from([0.1, 1.0, 3.0]))
+    t = rng.normal(size=(n, c)) * draw(st.sampled_from([0.5, 1.0, 4.0]))
+    if draw(st.booleans()):
+        t = np.round(2.0 * t) / 2.0
+    y = rng.integers(0, c, size=n)
+    return s, t, y, draw(st.sampled_from(WEIGHT_SCHEMES)), draw(st.sampled_from([0.5, 1.0, 4.0]))
+
+
+def pld_loss_and_tail_calls(s, t, y, **kw):
+    """pld_loss's result and its number of running log-sum-exp calls: one for
+    a one-chunk batch on the linear gradient tail, two on the log-space tail."""
+    lcse = losses._log_cumsum_exp_rows
+    with mock.patch.object(losses, "_log_cumsum_exp_rows", wraps=lcse) as spy:
+        res = pld_loss(s, t, y, **kw)
+    return res, spy.call_count
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(case=narrow_pld_cases())
+@pytest.mark.parametrize("shift", [600.0, -600.0])
+def test_pld_matches_oracles_on_both_gradient_tails(shift, case):
+    """Rows and loss against the O(C^2) oracle, gradient rows against the
+    closed form: on a narrow batch (linear tail) and on the same batch shifted
+    by +-600, where every |lc| >= 500 (log-space tail).  The shift moves the
+    loss by less than 1e-8, and each gradient row still sums to 0."""
+    s, t, y, scheme, tau = case
+    n = len(y)
+    results = []
+    for x, tail_calls in ((s, 1), (s + shift, 2)):
+        res, calls = pld_loss_and_tail_calls(x, t, y, tau_T=tau, scheme=scheme)
+        assert calls == tail_calls
+        expected = []
+        for i in range(n):
+            pi = teacher_optimal_permutation(t[i], y[i])
+            w = make_weights(t[i], pi, scheme, tau)
+            expected.append(naive_pld_value(x[i], t[i], y[i], weights=w))
+            g = pld_gradient_closed_form(x[i], pi, w)
+            np.testing.assert_allclose(res.grad[i], g / n, atol=1e-10)
+        np.testing.assert_allclose(res.rows, expected, rtol=0, atol=1e-10)
+        assert res.loss == pytest.approx(np.mean(expected), abs=1e-10)
+        results.append(res)
+    plain, shifted = results
+    assert abs(plain.loss - shifted.loss) < 1e-8
+    assert np.abs(shifted.grad.sum(axis=1)).max() < 1e-8
+
+
+BASELINE_KERNELS = {
+    **{f"kd {d}": lambda s, t, y, tau, d=d: kd_loss(s, t, y, tau=tau, divergence=d)
+       for d in DIVERGENCES},
+    "dist": lambda s, t, y, tau: dist_loss(s, t, y, tau=tau),
+    "dist inter-class": lambda s, t, y, tau: dist_loss(s, t, y, gamma=0.0, tau=tau),
+    "ce": lambda s, t, y, tau: ce_loss(s, y),
+    "ls": lambda s, t, y, tau: ls_loss(s, y, 0.1),
+}
+
+
+@st.composite
+def extreme_batches(draw):
+    """Student and teacher logits up to +-700 (uniform at a drawn scale, some
+    entries pinned to +-700), any labels, and a temperature down to 1e-3."""
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    n, c = draw(st.integers(2, 5)), draw(st.integers(2, 10))
+
+    def logits():
+        x = rng.uniform(-700.0, 700.0, size=(n, c)) * draw(st.sampled_from([1e-3, 0.1, 1.0]))
+        pinned = rng.random((n, c)) < draw(st.sampled_from([0.0, 0.25, 0.5]))
+        x[pinned] = rng.choice([-700.0, 700.0], size=int(pinned.sum()))
+        return x
+
+    tau = draw(st.one_of(st.sampled_from([1e-3, 1.0]), st.floats(1e-3, 10.0)))
+    return logits(), logits(), rng.integers(0, c, size=n), tau
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(batch=extreme_batches())
+def test_baselines_stay_finite_at_extreme_logits(batch):
+    """kd (every divergence), dist, ce and ls never give NaN or a numpy
+    RuntimeWarning, and every value is finite, except that reverse KL may be
+    +inf in a row where the teacher gives a class probability 0 and the
+    student does not (its documented value)."""
+    s, t, y, tau = batch
+    for name, kernel in BASELINE_KERNELS.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = kernel(s, t, y, tau)
+        rows = np.full(len(y), res.loss) if res.rows is None else res.rows
+        for part in (res.loss, res.grad, rows):
+            assert not np.isnan(part).any(), name
+        inf_allowed = np.zeros(len(y), dtype=bool)
+        if name == "kd reverse-kl":
+            inf_allowed = ((softmax(t, tau) == 0) & (softmax(s, tau) > 0)).any(axis=1)
+        assert np.isfinite(rows[~inf_allowed]).all(), name
+        assert np.isfinite(res.grad[~inf_allowed]).all(), name
+        assert np.isfinite(res.loss) or inf_allowed.any(), name
