@@ -43,7 +43,7 @@ from .losses import (
     pld_loss,
 )
 from .numerics import make_rng
-from .ranking import pl_enumerate, pl_log_likelihood, teacher_optimal_permutation
+from .ranking import pl_enumerate, pl_log_likelihood, pl_position_nll, teacher_optimal_permutation
 
 __all__ = ["main", "ConfigError", "VerificationFailure", "CONFIG_FORMAT_VERSION"]
 
@@ -214,21 +214,6 @@ def _seed(value: int) -> int:
 # losscheck
 
 
-def _naive_weighted_ranking_loss(s, t, y, weights=None, tau_T=1.0):
-    """Direct first-pick-first suffix evaluation, O(C^2); the identity oracle."""
-    pi = teacher_optimal_permutation(t, y)
-    if weights is None:
-        z = np.asarray(t, dtype=np.float64) / tau_T
-        e = np.exp(z - z.max())
-        weights = (e / e.sum())[pi]
-    total = 0.0
-    for k in range(len(pi)):
-        suffix = np.asarray(s)[pi[k:]]
-        m = suffix.max()
-        total += weights[k] * (-s[pi[k]] + m + math.log(np.exp(suffix - m).sum()))
-    return total
-
-
 def _losscheck_args(config: dict) -> dict:
     if not 2 <= config["oracle_max_classes"] <= 8:
         raise ConfigError("oracle_max_classes must lie in [2, 8]")
@@ -252,6 +237,12 @@ def cmd_losscheck(out_dir: str, seed: int, instances: int, max_c: int) -> int:
         t = rng.normal(size=(n, c))
         y = rng.integers(0, c, size=n)
 
+        pi = np.array([teacher_optimal_permutation(t[i], y[i]) for i in range(n)])
+        nll = pl_position_nll(np.take_along_axis(s, pi, axis=1))
+
+        def reference(weights):  # mean over rows of sum_k weights_k * nll_k, in order of k
+            return np.mean(np.cumsum(weights * nll, axis=1)[:, -1])
+
         onehot = pld_loss(s, t, y, scheme="onehot-first")
         plain = ce_loss(s, y)
         worst_ce = max(
@@ -261,35 +252,23 @@ def cmd_losscheck(out_dir: str, seed: int, instances: int, max_c: int) -> int:
         )
 
         uni = pld_loss(s, t, y, scheme="uniform")
-        nll = np.mean(
-            [
-                -pl_log_likelihood(s[i], teacher_optimal_permutation(t[i], y[i]))
-                for i in range(n)
-            ]
-        )
-        worst_uni = max(worst_uni, abs(uni.loss - nll / c))
+        listmle = np.mean([-pl_log_likelihood(s[i], pi[i]) for i in range(n)])
+        worst_uni = max(worst_uni, abs(uni.loss - listmle / c))
 
         pl = pld_loss(s, t, y, scheme="plistmle-exponential")
-        raw = np.array([2.0 ** (c - k) - 1.0 for k in range(1, c + 1)])
-        direct = np.mean(
-            [
-                _naive_weighted_ranking_loss(s[i], t[i], y[i], weights=raw / raw.sum())
-                for i in range(n)
-            ]
-        )
-        worst_pl = max(worst_pl, abs(pl.loss - direct))
+        raw = 2.0 ** np.arange(c - 1, -1, -1) - 1.0
+        worst_pl = max(worst_pl, abs(pl.loss - reference(raw / raw.sum())))
 
         tau = float(rng.choice([0.5, 1.0, 2.0, 4.0]))
-        res = pld_loss(s, t, y, tau_T=tau)
-        direct = np.mean(
-            [_naive_weighted_ranking_loss(s[i], t[i], y[i], tau_T=tau) for i in range(n)]
-        )
-        worst_eq = max(worst_eq, abs(res.loss - direct))
+        soft = pld_loss(s, t, y, tau_T=tau)
+        e = np.exp(t / tau - (t / tau).max(axis=1, keepdims=True))
+        soft_weights = np.take_along_axis(e / e.sum(axis=1, keepdims=True), pi, axis=1)
+        worst_eq = max(worst_eq, abs(soft.loss - reference(soft_weights)))
 
         shift = rng.uniform(-50.0, 50.0)
-        for scheme in ("teacher-softmax", "uniform", "plistmle-exponential"):
-            a = pld_loss(s, t, y, scheme=scheme)
-            b = pld_loss(s + shift, t, y, scheme=scheme)
+        for a, kwargs in ((soft, {"tau_T": tau}), (uni, {"scheme": "uniform"}),
+                          (pl, {"scheme": "plistmle-exponential"})):
+            b = pld_loss(s + shift, t, y, **kwargs)
             worst_shift = max(worst_shift, abs(a.loss - b.loss))
             worst_rowsum = max(worst_rowsum, float(np.abs(a.grad.sum(axis=1)).max()))
 

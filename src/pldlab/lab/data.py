@@ -62,7 +62,10 @@ def make_blobs(
 
     def split(per_class):
         labels = np.repeat(np.arange(n_classes), per_class)
-        feats = centers[labels] + spread * rng.standard_normal((labels.shape[0], dim))
+        with np.errstate(over="ignore"):  # an overflowing spread is refused below
+            feats = centers[labels] + spread * rng.standard_normal((labels.shape[0], dim))
+        if not np.isfinite(feats).all():
+            raise ValueError(f"spread {spread} puts features beyond the float64 range")
         return feats, labels
 
     train_x, train_y = split(train_per_class)

@@ -7,8 +7,10 @@ so the log-likelihood of a full ranking ``pi`` is
 
     sum_k [ s[pi[k]] - log sum_{l >= k} exp(s[pi[l]]) ].
 
-The exhaustive enumerator below is the ground truth the efficient code is
-checked against; it is deliberately capped at 8 classes (40320 orderings).
+The O(C^2) reference oracle ``pl_position_nll`` sums each suffix on its own,
+apart from the O(C) running log-sum-exp of ``pl_log_likelihood`` and the loss
+kernels.  The exhaustive enumerator scores its table with that oracle; it is
+deliberately capped at 8 classes (40320 orderings).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import itertools
 
 import numpy as np
 
-from .numerics import _log_cumsum_exp_rows, argsort_stable, as_finite_vector, log_cumsum_exp
+from .numerics import _log_cumsum_exp_rows, argsort_stable, as_finite_vector
 
 __all__ = [
     "EnumerationLimitError",
@@ -25,6 +27,7 @@ __all__ = [
     "ascending_rankings",
     "as_ranking",
     "pl_log_likelihood",
+    "pl_position_nll",
     "pl_enumerate",
     "ENUMERATION_MAX_CLASSES",
 ]
@@ -98,11 +101,24 @@ def pl_log_likelihood(s, pi) -> float | np.ndarray:
     return float(ll) if pi.ndim == 1 else ll
 
 
+def pl_position_nll(s_ranked: np.ndarray) -> np.ndarray:
+    """Reference oracle: -log P(pick k) at each position k of ``s_ranked``, a
+    stack (..., C) of finite logits in ranking order, as log sum_{l >= k}
+    exp(s_l) - s_k with each suffix summed on its own after its max is
+    subtracted.  O(C^2) per row, looping over k: no (..., C, C) temporary."""
+    out = np.empty_like(s_ranked)
+    for k in range(s_ranked.shape[-1]):
+        suffix = s_ranked[..., k:]
+        m = suffix.max(axis=-1)
+        out[..., k] = (m - s_ranked[..., k]) + np.log(np.exp(suffix - m[..., None]).sum(axis=-1))
+    return out
+
+
 def pl_enumerate(s) -> list[tuple[tuple[int, ...], float]]:
     """All rankings of the classes with their model probabilities.
 
-    Probabilities are exact likelihood evaluations, so they sum to 1 up to
-    rounding.  Refuses inputs with more than ENUMERATION_MAX_CLASSES classes.
+    Each is exp(-sum of pl_position_nll) of its ranking, so they sum to 1 up
+    to rounding.  Refuses inputs with more than ENUMERATION_MAX_CLASSES classes.
     """
     s = as_finite_vector(s, "logits")
     c = s.shape[0]
@@ -112,8 +128,5 @@ def pl_enumerate(s) -> list[tuple[tuple[int, ...], float]]:
             f"{ENUMERATION_MAX_CLASSES} classes"
         )
     perms = np.array(list(itertools.permutations(range(c))), dtype=np.int64)
-    s_perm = s[perms]
-    suffix = log_cumsum_exp(s_perm[:, ::-1])[:, ::-1]
-    log_probs = (s_perm - suffix).sum(axis=1)
-    probs = np.exp(log_probs)
+    probs = np.exp(-pl_position_nll(s[perms]).sum(axis=1))
     return [(tuple(p), q) for p, q in zip(perms.tolist(), probs.tolist())]

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pldlab import cli
 from pldlab.cli import (
@@ -140,6 +142,14 @@ class TestTrainTeacher:
         assert code == EXIT_OK
         for name in ("teacher.json", "metrics.csv", "config.json"):
             assert (out2 / name).read_bytes() == (teacher_dir / name).read_bytes()
+
+    def test_overflowing_spread_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"dataset": {"spread": 1e308}})
+        out = tmp_path / "o"
+        assert run(["train-teacher", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid dataset config: spread") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_divergent_run_exits_training_failure(self, tmp_path):
         doc = {
@@ -495,3 +505,66 @@ class TestSeedFlag:
         assert run(["train-teacher", "--config", cfg, "--seed", "77", "--out", str(out)]) == EXIT_OK
         echoed = json.loads((out / "config.json").read_text())
         assert echoed["seed"] == 77
+
+
+# Type-correct extremes for the fuzzer below.  No size lies between 1e8 and
+# 1e9 elements, which might actually be allocated: 2**62 fails at once.
+_EXTREMES = {int: [0, -1, 2**62], float: [0, -1, 2**62, 1e308, 5e-324]}
+
+
+def _fields(doc, path=()):
+    """Paths to every number and list of a default config (strings are names)."""
+    for key, value in doc.items():
+        if type(value) is dict:
+            yield from _fields(value, path + (key,))
+        elif type(value) is not str:
+            yield path + (key,)
+
+
+def _extremes(default):
+    if type(default) is not list:
+        return _EXTREMES[type(default)]
+    lists = [[], default + default[:1]]  # empty, and the first entry repeated
+    if default and type(default[0]) in _EXTREMES:
+        lists += [[x] for x in _EXTREMES[type(default[0])]]
+    return lists
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A command and a config document that replaces one or two fields of
+    its default config with extremes of the right JSON type."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    fields = list(_fields(cli._DEFAULTS[command]))
+    doc = {}
+    for path in draw(st.lists(st.sampled_from(fields), min_size=1, max_size=2, unique=True)):
+        default, node = cli._DEFAULTS[command], doc
+        for key in path[:-1]:
+            default, node = default[key], node.setdefault(key, {})
+        node[path[-1]] = draw(st.sampled_from(_extremes(default[path[-1]])))
+    return command, doc
+
+
+@pytest.fixture(scope="module")
+def tiny_teacher(tmp_path_factory):
+    """A [16, 10] teacher for the default distill dataset."""
+    path = tmp_path_factory.mktemp("fuzz") / "teacher.json"
+    save_model(init_mlp([16, 10], make_rng(0)), path)
+    return str(path)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(case=fuzzed_configs())
+@example(case=("train-teacher", {"dataset": {"spread": 1e308}}))  # features overflow float64
+@example(case=("landscape", {"span": 1.5e308}))  # its grid would overflow to inf
+def test_argument_step_returns_kwargs_or_config_error(tiny_teacher, case):
+    """Every well-typed config either validates or is a usage error (exit 2)
+    before anything is written; no other exception and no numpy warning."""
+    command, doc = case
+    if command == "distill":
+        doc["teacher"] = tiny_teacher  # an unreadable teacher exits 5 by design
+    try:
+        kwargs = cli._COMMANDS[command][0](cli._merge(cli._DEFAULTS[command], doc))
+    except cli.ConfigError:
+        return
+    assert type(kwargs) is dict

@@ -24,7 +24,7 @@ from pldlab.numerics import make_rng
 RECORDED_ON = {"numpy": "2.4.6", "simd": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]}
 DIGESTS = {
     "losscheck": ("losscheck.csv",
-                  "ffded448a159f9ffc32769a82a4c7142563479dbcfd76807bfb5686de1cb0cdd"),
+                  "a5a0717f3be561b6f118f787c795b2872e4165763864db44337554b57b2be0be"),
     "landscape": ("landscape.csv",
                   "4944e9b8cf01180a56bc020c0935336472f4fe3a675f6525bb22a054c0ab8eb8"),
 }

@@ -80,6 +80,13 @@ class TestMakeBlobs:
         with pytest.raises(ValueError):
             make_blobs(noise_rate=1.0)
 
+    def test_overflowing_spread_is_refused_without_a_warning(self):
+        # 1e308 times a normal draw above 1.8 leaves the float64 range
+        with pytest.raises(ValueError, match="beyond the float64 range"):
+            make_blobs(**SMALL, spread=1e308)
+        ds = make_blobs(**SMALL, spread=1e300)
+        assert np.isfinite(ds.train_features).all() and np.isfinite(ds.test_features).all()
+
 
 class TestMlp:
     def test_zero_parameters_give_zero_logits(self):

@@ -15,6 +15,7 @@ from pldlab.ranking import (
     ascending_rankings,
     pl_enumerate,
     pl_log_likelihood,
+    pl_position_nll,
     teacher_optimal_permutation,
 )
 
@@ -185,3 +186,48 @@ class TestPlEnumerate:
     def test_class_cap(self):
         with pytest.raises(EnumerationLimitError):
             pl_enumerate(np.zeros(ENUMERATION_MAX_CLASSES + 1))
+
+
+@st.composite
+def extreme_logits(draw):
+    """C = 2..6 logits within +-700: narrow rows, tied rows, and rows wider
+    than 600, which take the logaddexp path of the running sums."""
+    c = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["narrow", "tied", "wide"]))
+    offset = draw(st.floats(-650.0, 650.0))
+    near = st.floats(-50.0, 50.0)
+    if kind == "narrow":
+        s = offset + np.array(draw(st.lists(near, min_size=c, max_size=c)))
+    elif kind == "tied":
+        pool = [offset, offset + draw(near)]
+        s = np.array(draw(st.lists(st.sampled_from(pool), min_size=c, max_size=c)))
+    else:
+        s = np.array(draw(st.lists(st.floats(-700.0, 700.0), min_size=c, max_size=c)))
+        i, j = draw(st.permutations(range(c)))[:2]
+        s[i], s[j] = 700.0 - draw(st.floats(0.0, 50.0)), -700.0 + draw(st.floats(0.0, 50.0))
+    return s
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(s=extreme_logits())
+def test_likelihood_matches_the_suffix_oracle(s):
+    """The running sums of pl_log_likelihood against the per-suffix oracle,
+    on the whole permutation stack; near-certain rankings have log-likelihoods
+    near 0, so the relative tolerance has an absolute floor of the same size."""
+    perms = np.array(list(itertools.permutations(range(s.shape[0]))))
+    want = -pl_position_nll(s[perms]).sum(axis=1)
+    np.testing.assert_allclose(pl_log_likelihood(s, perms), want, rtol=1e-12, atol=1e-12)
+
+
+def test_enumeration_never_reaches_the_running_sums(monkeypatch):
+    s = make_rng(17).normal(size=6) * 2
+    want = pl_enumerate(s)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pl_enumerate reached the running log-sum-exp")
+
+    for name in ("pldlab.numerics._log_cumsum_exp_rows", "pldlab.numerics.log_cumsum_exp",
+                 "pldlab.ranking._log_cumsum_exp_rows"):
+        monkeypatch.setattr(name, refuse)
+    monkeypatch.setattr("pldlab.ranking.log_cumsum_exp", refuse, raising=False)
+    assert pl_enumerate(s) == want
