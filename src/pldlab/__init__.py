@@ -49,6 +49,7 @@ from .losses import (
     pld_targets,
     standardize_rows,
     student_teacher_kl,
+    teacher_targets,
 )
 
 __version__ = "0.1.0"
@@ -80,4 +81,5 @@ __all__ = [
     "pld_targets",
     "standardize_rows",
     "student_teacher_kl",
+    "teacher_targets",
 ]

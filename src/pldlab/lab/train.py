@@ -3,7 +3,8 @@
 Runs are deterministic functions of (config, seed): parameter init and
 minibatch shuffling come from one counter-based generator, the data loader
 walks a fixed order, and batch losses reduce sequentially.  A non-finite
-batch loss aborts the run immediately rather than writing poisoned metrics.
+batch loss, or an optimizer step that overflows, aborts the run immediately
+rather than writing poisoned metrics.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..losses import DistillLossConfig, ce_loss, evaluate_loss, pld_targets, standardize_rows
-from ..losses import student_teacher_kl
+from ..losses import DistillLossConfig, ce_loss, evaluate_loss, student_teacher_kl, teacher_targets
 from ..numerics import make_rng
 from .data import SyntheticDataset
 from .model import MlpModel, backward, forward, forward_trace, init_mlp
@@ -90,7 +90,11 @@ def _run_epochs(
             if not np.isfinite(result.loss):
                 raise TrainingFailure(f"non-finite loss at epoch {epoch}")
             backward(model, result.grad, acts, out=grad)
-            step_optimizer(model.params, grad, state, opt_cfg)
+            try:  # a moment that overflows to inf would stall Adam without a failure
+                with np.errstate(over="raise"):
+                    step_optimizer(model.params, grad, state, opt_cfg)
+            except FloatingPointError:
+                raise TrainingFailure(f"optimizer step overflowed at epoch {epoch}") from None
             epoch_losses.append(result.loss)
             step_losses.append(result.loss)
         test_logits = forward(model, dataset.test_features)
@@ -153,24 +157,21 @@ def distill_student(
     batch_size: int = 128,
 ) -> DistillRun:
     """Train a student under any configured objective against a frozen
-    teacher, whose logits and pld targets are computed once per run."""
+    teacher, whose logits and loss targets are computed once per run."""
     opt_cfg = opt_cfg or OptimizerConfig()
     check_distill(dataset, teacher, layer_sizes, loss_cfg, batch_size)
     rng = make_rng(seed)
     model = init_mlp(layer_sizes, rng)
 
     test_t = _teacher_logits(teacher, dataset.test_features, len(dataset.test_features))
-    train_t = targets = None
+    train_t = None
     if loss_cfg.needs_teacher:
         train_t = _teacher_logits(teacher, dataset.train_features, batch_size)
-    if loss_cfg.pld_args is not None:
-        ranked = train_t if loss_cfg.standardize == "none" else standardize_rows(train_t)
-        targets = pld_targets(ranked, dataset.train_labels, **loss_cfg.pld_args)
+    targets = teacher_targets(loss_cfg, train_t, dataset.train_labels)
 
     def loss_fn(logits, idx, yb):
-        if targets is not None:
-            return evaluate_loss(loss_cfg, logits, None, yb, targets=[a[idx] for a in targets])
-        return evaluate_loss(loss_cfg, logits, None if train_t is None else train_t[idx], yb)
+        batch = None if targets is None else [a[idx] for a in targets]
+        return evaluate_loss(loss_cfg, logits, None, yb, targets=batch)
 
     records, step_losses = _run_epochs(
         dataset, model, loss_fn, opt_cfg, epochs, batch_size, rng, teacher_test=test_t

@@ -223,19 +223,19 @@ def line_convexity_probe(
 
 
 def slice_to_csv(grid: SliceGrid) -> str:
-    """Deterministic CSV: loss kinds, then temperatures, then row-major grid."""
+    """Deterministic CSV: loss kinds, then temperatures, then row-major grid.
+    Floats are written with repr; each coordinate and prefix is formatted once."""
     lines = [SLICE_CSV_HEADER]
+    alphas = [repr(a) for a in grid.alphas.tolist()]
+    betas = [repr(b) for b in grid.betas.tolist()]
     for kind in grid.spec.loss_kinds:
         for temp in grid.spec.temperatures:
             key = (kind, float(temp))
             if key not in grid.values:
                 continue
-            vals = grid.values[key]
-            for i, a in enumerate(grid.alphas):
-                for j, b in enumerate(grid.betas):
-                    lines.append(
-                        f"{float(a)!r},{float(b)!r},{kind},{float(temp)!r},{float(vals[i, j])!r}"
-                    )
+            tail = f",{kind},{float(temp)!r},"
+            for a, row in zip(alphas, grid.values[key].tolist()):
+                lines.extend(f"{a},{b}{tail}{v!r}" for b, v in zip(betas, row))
     return "\n".join(lines) + "\n"
 
 

@@ -63,6 +63,7 @@ __all__ = [
     "dist_loss",
     "make_weights",
     "pld_targets",
+    "teacher_targets",
     "pld_loss",
     "pld_gradient_closed_form",
     "standardize_rows",
@@ -176,7 +177,8 @@ def _log_ratio(p, logp, logr):
     p * (...), also where a row wider than the float64 range gives it logp = -inf."""
     if p.all():  # no p is 0: skip the masked pass and the zeroed array it fills
         return logp - logr
-    return np.subtract(logp, logr, out=np.zeros_like(logr), where=p > 0)
+    out = np.zeros(np.broadcast_shapes(logp.shape, logr.shape))  # either side may be a stack
+    return np.subtract(logp, logr, out=out, where=p > 0)
 
 
 def _kl_terms(p, logp, logr):
@@ -215,7 +217,7 @@ def ce_loss(s_batch, labels) -> LossResult:
     n, c = s.shape[-2:]
     logq = log_softmax(s)
     picked = logq[..., np.arange(n), y]
-    loss = -picked.mean(axis=-1)
+    loss = -(picked.sum(axis=-1) / n)  # the bits of -picked.mean(axis=-1), with less overhead
     grad = (np.exp(logq) - _onehot(y, c)) / n
     return LossResult(_per_batch(loss), grad, -picked)
 
@@ -234,6 +236,22 @@ def ls_loss(s_batch, labels, epsilon: float) -> LossResult:
     return LossResult(_per_batch(loss), grad, -sums)
 
 
+def _kd_targets(t: np.ndarray, tau: float):
+    """kd's teacher side of an N x C batch: tempered log-probabilities and probabilities."""
+    logp = log_softmax(t, temperature=tau)
+    return logp, np.exp(logp)
+
+
+def _given_targets(targets, shapes, kind: str):
+    """``targets`` as float64 arrays of ``shapes``, else ValueError."""
+    arrays = [np.asarray(a) for a in targets]
+    if len(arrays) != len(shapes) or any(
+        a.shape != shape or a.dtype != np.float64 for a, shape in zip(arrays, shapes)
+    ):
+        raise ValueError(f"{kind} targets need float64 arrays of shapes {shapes}")
+    return arrays
+
+
 def kd_loss(
     s_batch,
     t_batch,
@@ -241,6 +259,7 @@ def kd_loss(
     alpha: float = 0.1,
     tau: float = 2.0,
     divergence: str = "forward-kl",
+    targets=None,
 ) -> LossResult:
     """Classic distillation: alpha*CE + (1-alpha)*tau^2*D(teacher, student).
 
@@ -252,22 +271,31 @@ def kd_loss(
     Reverse KL is +inf where the teacher gives 0 and the student does not,
     which is its value; the gradient of such a row is then not finite (NaN
     where it takes inf - inf, without a warning), so training stops on it.
+    A forward-KL row whose tempered log q is -inf where p > 0 (a tau below 1
+    pushed it beyond the float64 range) is scored by _tempered_kl instead.
+    Given ``targets`` (teacher_targets rows: tempered log p and p, N x C,
+    shared by every batch of a stack), t_batch is unread.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if divergence not in DIVERGENCES:
         raise ValueError(f"unknown divergence {divergence!r}")
-    s, t, y = _inputs(s_batch, t_batch, labels)
-    n = t.shape[0]
+    if targets is None:
+        s, t, y = _inputs(s_batch, t_batch, labels)
+        logp, p = _kd_targets(t, tau)
+    else:
+        s, _, y = _inputs(s_batch, None, labels, teacher=False)
+        logp, p = _given_targets(targets, 2 * [s.shape[-2:]], "kd")
+    n = s.shape[-2]
 
     logq = log_softmax(s, temperature=tau)
-    logp = log_softmax(t, temperature=tau)
     q = np.exp(logq)
-    p = np.exp(logp)
 
     if divergence == "forward-kl":
         div = _kl_terms(p, logp, logq).sum(axis=-1)
-        dgrad = (q - p) / tau
+        dgrad = q  # (q - p) / tau, in q's buffer
+        dgrad -= p
+        dgrad /= tau
     elif divergence == "reverse-kl":
         r = _log_ratio(q, logq, logp)
         div = (q * r).sum(axis=-1)
@@ -281,34 +309,75 @@ def kd_loss(
         dgrad = q * (v - (q * v).sum(axis=-1, keepdims=True)) / tau
 
     hard = ce_loss(s, y)
+    mix = (1.0 - alpha) * tau**2
     with np.errstate(over="ignore"):  # a divergence beyond the float64 range is +inf
-        loss = alpha * hard.loss + (1.0 - alpha) * tau**2 * div.mean(axis=-1)
-        grad = alpha * hard.grad + (1.0 - alpha) * tau**2 * dgrad / n
-        rows = alpha * hard.rows + (1.0 - alpha) * tau**2 * div
-    return LossResult(_per_batch(loss), grad, rows)
+        loss = alpha * hard.loss + mix * (div.sum(axis=-1) / n)
+        dgrad *= mix  # alpha * hard.grad + mix * dgrad / n, in dgrad's buffer
+        dgrad /= n
+        dgrad += np.multiply(hard.grad, alpha, out=hard.grad)
+        rows = alpha * hard.rows + mix * div
+    if divergence == "forward-kl" and tau < 1.0 and np.isinf(div).any():
+        wide = (np.isneginf(logq) & (p > 0)).any(axis=-1)
+        scaled = tau**2 * div
+        scaled[wide] = _tempered_kl(s[wide], np.broadcast_to(logp, s.shape)[wide],
+                                    np.broadcast_to(p, s.shape)[wide], tau)
+        rows[wide] = alpha * hard.rows[wide] + (1.0 - alpha) * scaled[wide]
+        with np.errstate(over="ignore"):
+            hit_loss = alpha * hard.loss + (1.0 - alpha) * (scaled.sum(axis=-1) / n)
+        loss = np.where(wide.any(axis=-1), hit_loss, loss)[()]
+    return LossResult(_per_batch(loss), dgrad, rows)
 
 
-def _pearson_terms(x: np.ndarray, ref: np.ndarray, axis: int):
-    """1 - Pearson along ``axis`` (-1: each row, -2: each column of a batch):
-    (mean residual, residuals, d(mean)/dx), per batch of a stack ``x``.
+def _tempered_kl(s, logp, p, tau: float) -> np.ndarray:
+    """tau^2 KL(p || softmax(s / tau)) of each row as tau * sum p * (tau log p -
+    tau log q), with tau log q = z - tau * lse(z / tau) for z = s - max(s):
+    finite where tau < 1 sends log q itself beyond the float64 range."""
+    with np.errstate(over="ignore"):  # z / tau leaves the range: exp gives 0
+        z = s - s.max(axis=-1, keepdims=True)
+        tau_logq = z - tau * np.log(np.exp(z / tau).sum(axis=-1, keepdims=True))
+        return tau * _kl_terms(p, tau * logp, tau_logq).sum(axis=-1)
+
+
+def _pearson_terms(x: np.ndarray, rc: np.ndarray, b: np.ndarray, axis: int):
+    """1 - Pearson along ``axis`` (-1: each row, -2: each column of a batch)
+    between ``x`` and a reference given centred along ``axis`` (``rc``) with
+    its squared norms ``b``: (mean residual, residuals, d(mean)/dx), per batch
+    of a stack ``x``.
 
     The denominator is floored at _PEARSON_EPS so near-constant slices stay
     finite; away from the floor the correlation (and its gradient) is the
     exact unguarded one, so identical slices give a residual of exactly 0.
+    Each mean is taken as sum / count, which is what np.mean computes.
     """
-    xc = x - x.mean(axis=axis, keepdims=True)
-    rc = ref - ref.mean(axis=axis, keepdims=True)
-    a = (xc * xc).sum(axis=axis, keepdims=True)
-    b = (rc * rc).sum(axis=axis, keepdims=True)
+    xc = x - x.sum(axis=axis, keepdims=True) / x.shape[axis]
+    buf = xc * xc
+    a = buf.sum(axis=axis, keepdims=True)
     base = np.sqrt(a * b)
-    floored = base < _PEARSON_EPS
-    denom = np.where(floored, _PEARSON_EPS, base)
-    rho = (xc * rc).sum(axis=axis, keepdims=True) / denom
+    dot = np.multiply(xc, rc, out=buf).sum(axis=axis, keepdims=True)
     k = x.shape[-3 - axis]  # number of residuals being averaged
+    floored = base < _PEARSON_EPS
+    if floored.any():
+        denom = np.where(floored, _PEARSON_EPS, base)
+        rho = dot / denom
+        a_safe = np.where(floored, 1.0, a)
+        dterm = -(rc / denom - np.where(floored, 0.0, rho * xc / a_safe)) / k
+    else:  # the same terms in place; dividing by -k negates exactly
+        rho = dot / base
+        xc *= rho
+        xc /= a
+        dterm = np.divide(rc, base, out=buf)
+        dterm -= xc
+        dterm /= -k
     residuals = (1.0 - rho).squeeze(axis)
-    a_safe = np.where(floored, 1.0, a)
-    dterm = -(rc / denom - np.where(floored, 0.0, rho * xc / a_safe)) / k
-    return residuals.mean(axis=-1), residuals, dterm
+    return residuals.sum(axis=-1) / residuals.shape[-1], residuals, dterm
+
+
+def _dist_targets(t: np.ndarray, tau: float):
+    """dist's teacher side of an N x C batch: tempered probabilities, each
+    row centred, and the rows' squared norms (N x 1)."""
+    qt = softmax(t, temperature=tau)
+    rc = qt - qt.mean(axis=-1, keepdims=True)
+    return qt, rc, (rc * rc).sum(axis=-1, keepdims=True)
 
 
 def dist_loss(
@@ -319,6 +388,7 @@ def dist_loss(
     beta: float = 0.45,
     gamma: float = 0.45,
     tau: float = 1.0,
+    targets=None,
 ) -> LossResult:
     """Correlation-matching distillation.
 
@@ -327,45 +397,52 @@ def dist_loss(
     intra-class term (the same across the batch for each class column),
     both on probabilities softened by ``tau``; ``alpha`` weights CE.
     The intra-class term couples the rows, so with ``gamma > 0`` the
-    result carries no per-row losses.
+    result carries no per-row losses.  Given ``targets`` (teacher_targets
+    rows, shared by every batch of a stack), t_batch is unread.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if beta < 0 or gamma < 0:
         raise ValueError("beta and gamma must be nonnegative")
-    s, t, y = _inputs(s_batch, t_batch, labels)
-    n, c = t.shape
+    s, t, y = _inputs(s_batch, t_batch, labels, teacher=targets is None)
+    n, c = s.shape[-2:]
     if c < 2:
         raise ValueError("dist loss needs at least 2 classes")
     if gamma > 0 and n < 2:
         raise ValueError("intra-class correlation needs a batch of at least 2 rows")
+    if targets is None:
+        qt, rc, b = _dist_targets(t, tau)
+    else:
+        qt, rc, b = _given_targets(targets, [(n, c), (n, c), (n, 1)], "dist")
 
     qs = softmax(s, temperature=tau)
-    qt = softmax(t, temperature=tau)
 
     loss = 0.0
     rows = np.zeros(s.shape[:-1])
     dq = np.zeros_like(qs)
     if beta > 0:
-        inter, inter_rows, dinter = _pearson_terms(qs, qt, axis=-1)
+        inter, inter_rows, dinter = _pearson_terms(qs, rc, b, axis=-1)
         loss += beta * inter
         rows += beta * inter_rows
-        dq += beta * dinter
+        dq += np.multiply(dinter, beta, out=dinter)
     if gamma > 0:
-        intra, _, dintra = _pearson_terms(qs, qt, axis=-2)
+        cc = qt - qt.sum(axis=-2, keepdims=True) / n  # the teacher centred over the batch
+        intra, _, dintra = _pearson_terms(qs, cc, (cc * cc).sum(axis=-2, keepdims=True), axis=-2)
         loss += gamma * intra
         rows = None  # the intra-class term couples the rows
-        dq += gamma * dintra
+        dq += np.multiply(dintra, gamma, out=dintra)
 
-    # pull dL/dq back through the tempered softmax rows
-    grad = qs * (dq - (qs * dq).sum(axis=-1, keepdims=True)) / tau
+    # pull dL/dq back through the tempered softmax rows: qs * (dq - <qs, dq>) / tau
+    dq -= (qs * dq).sum(axis=-1, keepdims=True)
+    dq *= qs
+    dq /= tau
 
     hard = ce_loss(s, y)
     loss += alpha * hard.loss
-    grad = grad + alpha * hard.grad
+    dq += np.multiply(hard.grad, alpha, out=hard.grad)
     if rows is not None:
         rows += alpha * hard.rows
-    return LossResult(_per_batch(loss), grad, rows)
+    return LossResult(_per_batch(loss), dq, rows)
 
 
 def _plistmle_weights(n_classes: int) -> np.ndarray:
@@ -667,18 +744,35 @@ def student_teacher_kl(s_batch, t_batch) -> float:
     return float(_kl_terms(np.exp(logp), logp, log_softmax(s)).sum(axis=1).mean())
 
 
+def teacher_targets(config: DistillLossConfig, t_batch, labels):
+    """The teacher side of evaluate_loss under ``config`` for N x C teacher
+    logits, standardized as ``config`` says: pld_targets (order, weights) for
+    the ranking kinds, tempered (log p, p) for kd, and for dist the tempered
+    p, its rows centred and their squared norms (N x 1); None for ce and ls.
+    Rows gathered by index from every array are the ``targets`` of
+    evaluate_loss for those rows, with the bits of the plain call."""
+    if not config.needs_teacher:
+        return None
+    t = t_batch if config.standardize == "none" else standardize_rows(t_batch)
+    if config.pld_args is not None:
+        return pld_targets(t, labels, **config.pld_args)
+    t = as_finite_matrix(t, "teacher logits")
+    build = _kd_targets if config.kind == "kd" else _dist_targets
+    return build(t, config.kd_temperature)
+
+
 def evaluate_loss(config: DistillLossConfig, s_batch, t_batch, labels, targets=None) -> LossResult:
     """Dispatch a fully-resolved loss config on one batch, or on a stack of
     batches (..., N, C) that share the N x C teacher batch and the labels.
 
     Handles the optional logit standardization: ``both`` z-scores student
     and teacher rows (the gradient is chained through the student's
-    transform), ``teacher-only`` z-scores just the teacher.  A ranking kind
-    may take ``targets``, the pld_targets under ``config.pld_args`` of the
-    rows' teacher logits as standardized, in place of ``t_batch``.
+    transform), ``teacher-only`` z-scores just the teacher.  Every kind that
+    reads a teacher may take ``targets``, rows of teacher_targets under this
+    config, in place of ``t_batch``.
     """
-    if targets is not None and config.pld_args is None:
-        raise ValueError(f"loss kind {config.kind!r} takes no pld targets")
+    if targets is not None and not config.needs_teacher:
+        raise ValueError(f"loss kind {config.kind!r} takes no teacher targets")
     s = np.asarray(s_batch, dtype=np.float64)  # the kernel or standardize_rows checks s and t
     s_in = standardize_rows(s) if config.standardize == "both" else s
     t = t_batch
@@ -690,11 +784,12 @@ def evaluate_loss(config: DistillLossConfig, s_batch, t_batch, labels, targets=N
     elif config.kind == "ls":
         res = ls_loss(s_in, labels, config.ls_epsilon)
     elif config.kind == "kd":
-        res = kd_loss(s_in, t, labels, config.ce_mix, config.kd_temperature, config.divergence)
+        res = kd_loss(s_in, t, labels, config.ce_mix, config.kd_temperature, config.divergence,
+                      targets=targets)
     elif config.kind == "dist":
         res = dist_loss(
             s_in, t, labels, config.ce_mix, config.dist_beta, config.dist_gamma,
-            config.kd_temperature,
+            config.kd_temperature, targets=targets,
         )
     else:  # listmle, plistmle, pld
         res = pld_loss(s_in, t, labels, **config.pld_args, targets=targets)

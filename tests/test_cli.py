@@ -151,6 +151,16 @@ class TestTrainTeacher:
         assert err.startswith("error: invalid dataset config: spread") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_overflowing_optimizer_step_is_training_failure(self, tmp_path, capsys):
+        """Features near 1e300 give gradients whose squares overflow Adam's
+        second moment: the run exits 4 with one line, warns nothing and writes
+        no model, where it used to stall at chance accuracy and exit 0."""
+        cfg = write_config(tmp_path, "c.json", {"dataset": {"spread": 1e300}, "epochs": 1})
+        out = tmp_path / "o"
+        assert run(["train-teacher", "--config", cfg, "--out", str(out)]) == EXIT_TRAINING
+        assert capsys.readouterr().err == "training failure: optimizer step overflowed at epoch 0\n"
+        assert not (out / "teacher.json").exists()
+
     def test_divergent_run_exits_training_failure(self, tmp_path):
         doc = {
             "dataset": TINY_DATASET,

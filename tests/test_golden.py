@@ -2,7 +2,8 @@
 keep their bytes.
 
 ``losscheck`` and ``landscape`` at their default configs must write the
-bytes recorded below, as must a two-epoch teacher and pld student run, and
+bytes recorded below, as must a two-epoch teacher and pld, kd and dist
+student runs, and
 ``pld_loss`` on two seeded 32 x 1000 batches must return them (loss,
 gradient and rows).  A change that moves these bits on purpose, such as a
 sort that moves a permutation, says so in CHANGES.md and records the new
@@ -29,12 +30,16 @@ DIGESTS = {
                   "4944e9b8cf01180a56bc020c0935336472f4fe3a675f6525bb22a054c0ab8eb8"),
 }
 
-# a [16, 32, 10] teacher and a pld student of the same shape, 2 epochs each
+# a [16, 32, 10] teacher and pld, kd and dist students of the same shape, 2 epochs each
 TRAINING_DIGESTS = {
     "teacher/teacher.json": "4dfd7a7886eae086f55d4c2c9ccd510f32544a2a5105d600c352758cdc1e9380",
     "teacher/metrics.csv": "24a8dc81637082ec04d54e72be9e4ec3955650b729236452176dd0af9adeb00d",
     "student/student.json": "0454c498802842eb74537a73761a28147ed81abdca446a0b9d64f535580c680a",
     "student/metrics.csv": "ad9cb26b749d5c0727a38d3313e5d47293b301811e88dcfcb49a697b654876fc",
+    "student-kd/student.json": "f3ecb35852e4ebb21cf8207b035ef1d37558bef9aa945a3dc8631d5ac43de099",
+    "student-kd/metrics.csv": "2023f9799e4ad72cd3500f10f0149d90e53dbad0fe7fe150847d8e55c05de834",
+    "student-dist/student.json": "567badef541e7d593798588f8c3c8187ade21fba99182f60ab26543c33cf1a47",
+    "student-dist/metrics.csv": "3c1669351879a9d5c915bbd970fc83313d1c8549adb2968f49bb8c4e29f7141b",
 }
 
 
@@ -61,17 +66,20 @@ def test_default_artifact_keeps_its_bytes(tmp_path, command):
 
 
 def test_small_training_run_keeps_its_bytes(tmp_path):
-    """The Adam step, forward and backward of train_teacher and a pld
-    distill_student keep their bits, seen through the files they write."""
+    """The Adam step, forward and backward of train_teacher and the pld, kd
+    and dist distill_student runs keep their bits, seen through the files they write."""
     skip_other_builds()
-    teacher_cfg, student_cfg = tmp_path / "teacher.cfg", tmp_path / "student.cfg"
+    teacher_cfg = tmp_path / "teacher.cfg"
     teacher_cfg.write_text(json.dumps({"layer_sizes": [16, 32, 10], "epochs": 2}))
-    student_cfg.write_text(json.dumps(
-        {"teacher": str(tmp_path / "teacher" / "teacher.json"), "loss": {"kind": "pld"},
-         "epochs": 2}
-    ))
-    for command, cfg, out in (("train-teacher", teacher_cfg, "teacher"),
-                              ("distill", student_cfg, "student")):
+    runs = [("train-teacher", teacher_cfg, "teacher")]
+    for kind, out in (("pld", "student"), ("kd", "student-kd"), ("dist", "student-dist")):
+        cfg = tmp_path / f"{out}.cfg"
+        cfg.write_text(json.dumps(
+            {"teacher": str(tmp_path / "teacher" / "teacher.json"), "loss": {"kind": kind},
+             "epochs": 2}
+        ))
+        runs.append(("distill", cfg, out))
+    for command, cfg, out in runs:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / out)]) == EXIT_OK
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in TRAINING_DIGESTS}

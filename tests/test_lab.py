@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import pldlab.lab.model as lab_model
 import pldlab.lab.train as lab_train
+import pldlab.losses as losses
 from pldlab.lab import (
     METRICS_HEADER,
     MlpModel,
@@ -441,14 +442,14 @@ def test_ranking_targets_come_from_the_standardized_teacher(
     teacher logits as the config standardizes them, under the config's
     temperature and scheme."""
     ds, teacher = small_setup
-    real = lab_train.pld_targets
+    real = losses.pld_targets  # teacher_targets looks it up here
     calls = []
 
     def spy(t, labels, **kwargs):
         calls.append((t.copy(), labels, kwargs))
         return real(t, labels, **kwargs)
 
-    monkeypatch.setattr(lab_train, "pld_targets", spy)
+    monkeypatch.setattr(losses, "pld_targets", spy)
     cfg = default_loss_config(kind, standardize=standardize, teacher_temperature=0.5)
     distill_student(ds, teacher, [4, 8, 4], cfg, epochs=2, seed=0, batch_size=32)
     t = forward(teacher, ds.train_features)

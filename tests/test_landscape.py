@@ -62,6 +62,12 @@ class TestMakeSlice:
         for vals in grid.values.values():
             assert np.isfinite(vals).all()
 
+    def test_span_near_the_float64_limit_stays_finite(self):
+        """At span 8.9e307, tau 0.1 sends kd's tempered student log-probabilities
+        beyond the float64 range on the far grid points; every value is still finite."""
+        grid = make_slice(SliceSpec(span=8.9e307))
+        assert all(np.isfinite(vals).all() for vals in grid.values.values())
+
     def test_pld_origin_below_corners(self):
         spec = SliceSpec(
             n_classes=100, resolution=9, temperatures=(2.0, 1.0), loss_kinds=("pld",), seed=0

@@ -30,6 +30,7 @@ from pldlab.losses import (
     pld_targets,
     standardize_rows,
     student_teacher_kl,
+    teacher_targets,
 )
 from pldlab.numerics import make_rng, softmax
 from pldlab.ranking import pl_enumerate, pl_log_likelihood, teacher_optimal_permutation
@@ -198,6 +199,35 @@ class TestKnowledgeDistillation:
                           tau=2.0, divergence="reverse-kl")
         assert res.loss == np.inf and res.rows[0] == np.inf
 
+    def test_tiny_temperature_on_a_student_row_beyond_the_float64_range(self):
+        """At tau 0.1 a student row 1.5e308 wide has tempered log q = -inf at
+        two classes the teacher keeps, but tau^2 KL, about 8e306, is finite:
+        it is tau * sum p (tau log p - tau log q) with tau log q = s - max s
+        here.  The gradient is finite, nothing warns, and the other row keeps
+        the bits of a call on its own."""
+        s = np.array([[1e308, 0.0, -5e307], [0.0, 1.0, 2.0]])
+        t = np.zeros((2, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = kd_loss(s, t, [0, 2], tau=0.1)
+            alone = kd_loss(s[1:], t[1:], [2], tau=0.1)
+        tau_kl = 0.1 * (0.1 * math.log(1 / 3) + 1e308 / 3 + 1.5e308 / 3)
+        assert np.isfinite(tau_kl) and np.isfinite(res.rows).all()
+        assert res.rows[0] == pytest.approx(0.9 * tau_kl, rel=1e-12)  # CE is 0 on row 0
+        assert res.rows[1].tobytes() == alone.rows[0].tobytes()
+        assert res.loss == pytest.approx(res.rows.mean(), rel=1e-12)
+        assert np.isfinite(res.grad).all()
+
+    def test_reverse_kl_on_a_stack_with_student_probability_zero(self):
+        """A stack whose student gives a class probability 0 broadcasts against
+        the one teacher batch in reverse KL's masked log ratio."""
+        s = np.array([[0.0, 1.0]])
+        stack = np.stack([s, -s, s]) + 1500.0
+        res = kd_loss(stack, [[0.0, 0.0]], [0], tau=1e-3, divergence="reverse-kl")
+        for b, s_b in enumerate(stack):
+            one = kd_loss(s_b, [[0.0, 0.0]], [0], tau=1e-3, divergence="reverse-kl")
+            assert res.rows[b].tobytes() == one.rows.tobytes()
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             kd_loss([[0.0, 1.0]], [[0.0, 1.0]], [0], alpha=1.5)
@@ -337,6 +367,27 @@ class TestPldLoss:
         assert np.float64(res.loss).tobytes() == np.float64(ref.loss).tobytes()
         assert res.grad.tobytes() == ref.grad.tobytes()
         assert res.rows.tobytes() == ref.rows.tobytes()
+
+    @pytest.mark.parametrize("kind", ["kd", "dist"])
+    def test_teacher_targets_of_another_kind_rejected(self, kind):
+        """kd takes two N x C float arrays and dist three arrays; targets of
+        another kind, or of another batch size, are refused."""
+        t, y = [[0.0, 1.0, 2.0], [2.0, 0.0, 1.0]], [0, 1]
+        cfg = default_loss_config(kind)
+        other = {"kd": "dist", "dist": "kd"}[kind]
+        for targets in (teacher_targets(default_loss_config(other), t, y),
+                        teacher_targets(default_loss_config("pld"), t, y),
+                        [a[:1] for a in teacher_targets(cfg, t, y)]):
+            with pytest.raises(ValueError, match="targets"):
+                evaluate_loss(cfg, t, None, y, targets=targets)
+
+    def test_kinds_without_teacher_take_no_targets(self):
+        for kind in ("ce", "ls"):
+            cfg = default_loss_config(kind)
+            assert teacher_targets(cfg, None, [0]) is None
+            with pytest.raises(ValueError, match="targets"):
+                evaluate_loss(cfg, [[0.0, 1.0]], None, [0],
+                              targets=teacher_targets(default_loss_config("kd"), [[0.0, 1.0]], [0]))
 
     def test_targets_shape_checked(self):
         order, weights = pld_targets([[0.0, 1.0, 2.0]], [0])

@@ -8,6 +8,7 @@ run and distill run go through the installed trace.
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -46,21 +47,33 @@ def test_traced_training_runs_and_nests(tracing):
     try:  # the wrapped names are looked up on the module at call time
         (teacher, _), _ = tracer.run("train_teacher", lambda: cli.train_teacher(
             ds, [4, 8, 4], epochs=epochs, seed=0, batch_size=32))
-        tracer.run("distill_pld", lambda: cli.distill_student(
-            ds, teacher, [4, 8, 4], default_loss_config("pld"), epochs=epochs, seed=0,
-            batch_size=32))
+        for kind in ("pld", "kd", "dist"):
+            tracer.run(f"distill_{kind}", lambda kind=kind: cli.distill_student(
+                ds, teacher, [4, 8, 4], default_loss_config(kind), epochs=epochs, seed=0,
+                batch_size=32))
     finally:
         tracer.uninstall()
 
     assert tracer.stack == []
+    backward_calls = Counter()  # edges count every command under a root
     for command, root in (("train_teacher", "lab.train.train_teacher"),
-                          ("distill_pld", "lab.train.distill_student")):
+                          ("distill_pld", "lab.train.distill_student"),
+                          ("distill_kd", "lab.train.distill_student"),
+                          ("distill_dist", "lab.train.distill_student")):
         stats = tracer.total_stats(command)
         assert stats[root].calls == 1
         assert stats["lab.model.backward"].rows == epochs * len(ds.train_features)
-        assert tracer.edges[(root, "lab.model.backward")] == stats["lab.model.backward"].calls
+        backward_calls[root] += stats["lab.model.backward"].calls
         assert tracer.edges[(root, "lab.optim.step_optimizer")] > 0
+    for root, calls in backward_calls.items():
+        assert tracer.edges[(root, "lab.model.backward")] == calls
     assert tracer.edges[("lab.train.distill_student", "losses.evaluate_loss")] > 0
     assert tracer.edges[("losses.evaluate_loss", "losses.pld_loss")] > 0
+    # kd and dist reach their nested cross-entropy and softmax by the traced names
+    for kernel, soft in (("losses.kd_loss", "numerics.log_softmax"),
+                         ("losses.dist_loss", "numerics.softmax")):
+        assert tracer.edges[("losses.evaluate_loss", kernel)] > 0
+        assert tracer.edges[(kernel, "losses.ce_loss")] > 0
+        assert tracer.edges[(kernel, soft)] > 0
     parents = {p for p, c in tracer.edges if c == "lab.model.forward_trace"}
     assert parents == {"lab.model.forward"}

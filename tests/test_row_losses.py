@@ -11,10 +11,13 @@ from pldlab.losses import (
     STANDARDIZE_MODES,
     WEIGHT_SCHEMES,
     default_loss_config,
+    dist_loss,
     evaluate_loss,
+    kd_loss,
     pld_loss,
     pld_targets,
     standardize_rows,
+    teacher_targets,
 )
 
 SEPARABLE = [
@@ -30,6 +33,12 @@ RANKING = [("listmle", {}), ("plistmle", {}), *[("pld", {"pld_scheme": w}) for w
 COUPLED = [
     ("dist", {}),
     ("dist", {"dist_beta": 0.0, "dist_gamma": 1.0}),
+]
+TEACHER = [
+    *RANKING,
+    *[("kd", {"divergence": d}) for d in DIVERGENCES],
+    ("dist", {"dist_gamma": 0.0}),
+    ("dist", {}),
 ]
 
 
@@ -92,15 +101,15 @@ def test_coupled_rows_carry_no_row_losses(batch, case, standardize):
 
 
 def same_bits(a, b):
-    assert np.float64(a.loss).tobytes() == np.float64(b.loss).tobytes()
+    assert np.asarray(a.loss).tobytes() == np.asarray(b.loss).tobytes()
     assert a.grad.tobytes() == b.grad.tobytes()
-    assert a.rows.tobytes() == b.rows.tobytes()
+    assert (a.rows is None and b.rows is None) or a.rows.tobytes() == b.rows.tobytes()
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=120, derandomize=True, deadline=None)
 @given(
     batch=batches(),
-    case=st.sampled_from(RANKING),
+    case=st.sampled_from(TEACHER),
     standardize=st.sampled_from(STANDARDIZE_MODES),
     tiny_tau=st.booleans(),
     extra=st.integers(0, 6),
@@ -108,24 +117,35 @@ def same_bits(a, b):
 )
 def test_targets_path_equals_plain_path(batch, case, standardize, tiny_tau, extra, data):
     """Targets built once on a larger teacher table and gathered by shuffled
-    indices give the plain path's loss, gradient and rows bit for bit, with
-    the gradient tail in linear space and, after a shift of 1500, in log space."""
+    indices give the plain path's loss, gradient and rows bit for bit, for
+    every kind that reads a teacher: for pld with the gradient tail in linear
+    space and, after a shift of 1500, in log space."""
     s, t, y, tau = batch
     n, c = t.shape
+    assume(case not in COUPLED or n >= 2)
     table = np.resize(t[::-1] - 1.0, (n + extra, c))  # the batch's rows go in below
     labels = np.arange(n + extra) % c
     idx = np.array(data.draw(st.permutations(range(n + extra))))[:n]
     table[idx], labels[idx] = t, y
     cfg = config(*case, standardize, 1e-3 if tiny_tau else tau)
-    order, weights = pld_targets(
-        table if standardize == "none" else standardize_rows(table), labels, **cfg.pld_args
-    )
-    targets = [order[idx], weights[idx]]
+    targets = [a[idx] for a in teacher_targets(cfg, table, labels)]
+    if cfg.pld_args is not None:
+        ranked = table if standardize == "none" else standardize_rows(table)
+        assert all(a.tobytes() == b[idx].tobytes()
+                   for a, b in zip(targets, pld_targets(ranked, labels, **cfg.pld_args)))
     for s_k in (s, s + 1500.0):
         same_bits(evaluate_loss(cfg, s_k, None, y, targets=targets), evaluate_loss(cfg, s_k, t, y))
-        if standardize == "none":
+        if standardize != "none":
+            continue
+        if cfg.pld_args is not None:
             same_bits(pld_loss(s_k, None, None, targets=targets),
                       pld_loss(s_k, t, y, **cfg.pld_args))
+        elif cfg.kind == "kd":
+            args = (cfg.ce_mix, cfg.kd_temperature, cfg.divergence)
+            same_bits(kd_loss(s_k, None, y, *args, targets=targets), kd_loss(s_k, t, y, *args))
+        else:
+            args = (cfg.ce_mix, cfg.dist_beta, cfg.dist_gamma, cfg.kd_temperature)
+            same_bits(dist_loss(s_k, None, y, *args, targets=targets), dist_loss(s_k, t, y, *args))
 
 
 # A stacked batch's loss and gradient lie within this many units in the last
@@ -158,7 +178,6 @@ def test_stack_scores_like_its_batches(case, batch, standardize):
             assert abs(res.loss[b] - one.loss) <= STACK_ULPS * np.spacing(abs(one.loss))
             ulp = np.spacing(abs(one.grad).max())
             assert (abs(res.grad[b] - one.grad) <= STACK_ULPS * ulp).all()
-        if cfg.pld_args is not None:  # the stack shares the teacher's targets, built once
-            ranked = t if standardize == "none" else standardize_rows(t)
-            targets = pld_targets(ranked, y, **cfg.pld_args)
+        if cfg.needs_teacher:  # the stack shares the teacher's targets, built once
+            targets = teacher_targets(cfg, t, y)
             same_bits(evaluate_loss(cfg, stack, None, y, targets=targets), res)
