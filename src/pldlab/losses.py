@@ -356,18 +356,15 @@ def _pearson_terms(x: np.ndarray, rc: np.ndarray, b: np.ndarray, axis: int):
     dot = np.multiply(xc, rc, out=buf).sum(axis=axis, keepdims=True)
     k = x.shape[-3 - axis]  # number of residuals being averaged
     floored = base < _PEARSON_EPS
+    denom = np.where(floored, _PEARSON_EPS, base)
+    rho = dot / denom
+    xc *= rho  # rho * xc / a, zero on floored slices, in xc's buffer
+    xc /= np.where(floored, 1.0, a)
     if floored.any():
-        denom = np.where(floored, _PEARSON_EPS, base)
-        rho = dot / denom
-        a_safe = np.where(floored, 1.0, a)
-        dterm = -(rc / denom - np.where(floored, 0.0, rho * xc / a_safe)) / k
-    else:  # the same terms in place; dividing by -k negates exactly
-        rho = dot / base
-        xc *= rho
-        xc /= a
-        dterm = np.divide(rc, base, out=buf)
-        dterm -= xc
-        dterm /= -k
+        np.copyto(xc, 0.0, where=floored)
+    dterm = np.divide(rc, denom, out=buf)  # -(rc / denom - xc) / k: dividing by -k negates exactly
+    dterm -= xc
+    dterm /= -k
     residuals = (1.0 - rho).squeeze(axis)
     return residuals.sum(axis=-1) / residuals.shape[-1], residuals, dterm
 
