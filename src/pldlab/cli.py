@@ -541,7 +541,11 @@ def main(argv=None) -> int:
         out_dir = args.out
         os.makedirs(out_dir, exist_ok=True)
         _echo_config(args.command, config, out_dir)
-        return run(out_dir, **kwargs)
+        try:
+            return run(out_dir, **kwargs)
+        except MemoryError:  # the run failed before writing anything: take its echo back
+            os.remove(os.path.join(out_dir, "config.json"))
+            raise
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -236,6 +236,17 @@ def ls_loss(s_batch, labels, epsilon: float) -> LossResult:
     return LossResult(_per_batch(loss), grad, -sums)
 
 
+def _plus_ce(s, y, alpha: float, loss, grad, rows) -> LossResult:
+    """alpha * CE plus a soft term's loss, gradient (added to in place) and rows; 0 skips CE."""
+    if alpha > 0:
+        hard = ce_loss(s, y)
+        with np.errstate(over="ignore"):  # a soft term beyond the float64 range is +inf
+            loss = alpha * hard.loss + loss
+            grad += np.multiply(hard.grad, alpha, out=hard.grad)
+            rows = None if rows is None else alpha * hard.rows + rows
+    return LossResult(_per_batch(loss), grad, rows)
+
+
 def _kd_targets(t: np.ndarray, tau: float):
     """kd's teacher side of an N x C batch: tempered log-probabilities and probabilities."""
     logp = log_softmax(t, temperature=tau)
@@ -264,17 +275,17 @@ def kd_loss(
     """Classic distillation: alpha*CE + (1-alpha)*tau^2*D(teacher, student).
 
     ``divergence`` picks D: forward KL (teacher || student), reverse KL
-    (student || teacher), or the Jensen-Shannon divergence against the
-    mixture.  Both distributions are softened by ``tau``; the tau^2 factor
-    keeps gradient magnitudes comparable across temperatures.  A class of
-    probability 0 adds 0 to the divergence and its gradient (0 log 0 = 0).
-    Reverse KL is +inf where the teacher gives 0 and the student does not,
-    which is its value; the gradient of such a row is then not finite (NaN
-    where it takes inf - inf, without a warning), so training stops on it.
-    A forward-KL row whose tempered log q is -inf where p > 0 (a tau below 1
-    pushed it beyond the float64 range) is scored by _tempered_kl instead.
-    Given ``targets`` (teacher_targets rows: tempered log p and p, N x C,
-    shared by every batch of a stack), t_batch is unread.
+    (student || teacher), or Jensen-Shannon against the mixture, of both
+    distributions softened by ``tau`` (tau^2 keeps gradient magnitudes
+    comparable across temperatures).  A class of probability 0 adds 0 to D
+    and its gradient (0 log 0 = 0).  Reverse KL is +inf where the teacher
+    gives 0 and the student does not, which is its value; that row's
+    gradient is then not finite (NaN, without a warning), so training stops
+    on it.  A forward-KL row whose tempered log q is -inf where p > 0 (a tau
+    below 1 pushed it beyond the float64 range) is scored by _tempered_kl.
+    At alpha 1 D is not evaluated: the result is ce_loss's bit for bit, even
+    where D is +inf.  Given ``targets`` (teacher_targets rows: tempered log
+    p and p, N x C, shared by every batch of a stack), t_batch is unread.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -288,7 +299,9 @@ def kd_loss(
         logp, p = _given_targets(targets, 2 * [s.shape[-2:]], "kd")
     n = s.shape[-2]
 
-    logq = log_softmax(s, temperature=tau)
+    logq = log_softmax(s, temperature=tau)  # checks tau, also where D has weight 0
+    if alpha == 1.0:
+        return ce_loss(s, y)
     q = np.exp(logq)
 
     if divergence == "forward-kl":
@@ -308,24 +321,21 @@ def kd_loss(
         v = 0.5 * d
         dgrad = q * (v - (q * v).sum(axis=-1, keepdims=True)) / tau
 
-    hard = ce_loss(s, y)
     mix = (1.0 - alpha) * tau**2
     with np.errstate(over="ignore"):  # a divergence beyond the float64 range is +inf
-        loss = alpha * hard.loss + mix * (div.sum(axis=-1) / n)
-        dgrad *= mix  # alpha * hard.grad + mix * dgrad / n, in dgrad's buffer
+        loss = mix * (div.sum(axis=-1) / n)
+        dgrad *= mix  # mix * dgrad / n, in dgrad's buffer
         dgrad /= n
-        dgrad += np.multiply(hard.grad, alpha, out=hard.grad)
-        rows = alpha * hard.rows + mix * div
+        rows = mix * div
     if divergence == "forward-kl" and tau < 1.0 and np.isinf(div).any():
         wide = (np.isneginf(logq) & (p > 0)).any(axis=-1)
         scaled = tau**2 * div
         scaled[wide] = _tempered_kl(s[wide], np.broadcast_to(logp, s.shape)[wide],
                                     np.broadcast_to(p, s.shape)[wide], tau)
-        rows[wide] = alpha * hard.rows[wide] + (1.0 - alpha) * scaled[wide]
+        rows[wide] = (1.0 - alpha) * scaled[wide]
         with np.errstate(over="ignore"):
-            hit_loss = alpha * hard.loss + (1.0 - alpha) * (scaled.sum(axis=-1) / n)
-        loss = np.where(wide.any(axis=-1), hit_loss, loss)[()]
-    return LossResult(_per_batch(loss), dgrad, rows)
+            loss = np.where(wide.any(axis=-1), (1.0 - alpha) * (scaled.sum(axis=-1) / n), loss)[()]
+    return _plus_ce(s, y, alpha, loss, dgrad, rows)
 
 
 def _tempered_kl(s, logp, p, tau: float) -> np.ndarray:
@@ -392,7 +402,7 @@ def dist_loss(
     ``beta`` weights the inter-class term (one minus Pearson correlation
     between each student and teacher probability row) and ``gamma`` the
     intra-class term (the same across the batch for each class column),
-    both on probabilities softened by ``tau``; ``alpha`` weights CE.
+    both on probabilities softened by ``tau``; _plus_ce adds ``alpha`` * CE.
     The intra-class term couples the rows, so with ``gamma > 0`` the
     result carries no per-row losses.  Given ``targets`` (teacher_targets
     rows, shared by every batch of a stack), t_batch is unread.
@@ -414,7 +424,7 @@ def dist_loss(
 
     qs = softmax(s, temperature=tau)
 
-    loss = 0.0
+    loss = np.zeros(s.shape[:-2])[()]  # one loss per batch of a stack, even at weights 0
     rows = np.zeros(s.shape[:-1])
     dq = np.zeros_like(qs)
     if beta > 0:
@@ -434,12 +444,7 @@ def dist_loss(
     dq *= qs
     dq /= tau
 
-    hard = ce_loss(s, y)
-    loss += alpha * hard.loss
-    dq += np.multiply(hard.grad, alpha, out=hard.grad)
-    if rows is not None:
-        rows += alpha * hard.rows
-    return LossResult(_per_batch(loss), dq, rows)
+    return _plus_ce(s, y, alpha, loss, dq, rows)
 
 
 def _plistmle_weights(n_classes: int) -> np.ndarray:

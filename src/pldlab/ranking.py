@@ -63,8 +63,7 @@ def teacher_optimal_permutation(t, y: int) -> np.ndarray:
     y = int(y)
     if not 0 <= y < c:
         raise ValueError(f"label {y} out of range for {c} classes")
-    desc = argsort_stable(t, descending=True)
-    return np.concatenate(([y], desc[desc != y])).astype(np.int64)
+    return ascending_rankings(t[None], [y])[0, ::-1]
 
 
 def ascending_rankings(t_batch: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Command-line interface tests: exit codes, artifacts, determinism."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -336,14 +338,6 @@ class TestLandscape:
         assert run(["landscape", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
         assert capsys.readouterr().err == ""
 
-    def test_size_beyond_memory_is_usage_error(self, tmp_path, capsys):
-        """1e17 classes need about 711 PiB, beyond any address space, so the
-        allocation fails at once: exit 2 with a one-line message."""
-        cfg = write_config(tmp_path, "c.json", {**self.DOC, "n_classes": 10**17})
-        assert run(["landscape", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
-
     def test_invalid_spec_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**self.DOC, "resolution": 2})
         assert run(["landscape", "--config", cfg, "--out", str(tmp_path)]) == EXIT_USAGE
@@ -563,18 +557,48 @@ def tiny_teacher(tmp_path_factory):
     return str(path)
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("landscape", {"n_classes": 10**17}),
+    ("gradcheck", {"class_counts": [10**17]}),
+    ("bench", {"sizes": [[10**17, 10]]}),
+    # 16 x 10**17 weights would pass numpy's largest array, a ValueError, not a MemoryError
+    ("train-teacher", {"layer_sizes": [16, 10**16, 10]}),
+    ("distill", {"layer_sizes": [16, 10**16, 10]}),
+], ids=["landscape", "gradcheck", "bench", "train-teacher", "distill"])
+def test_size_beyond_memory_is_usage_error(tmp_path, capsys, tiny_teacher, command, doc):
+    """Each config fails at its first allocation, of 1e17 floats or more (711
+    PiB, beyond any address space): exit 2 with a one-line message, and the
+    output directory keeps no config.json, as the run wrote nothing else."""
+    if command == "distill":
+        doc = {**doc, "teacher": tiny_teacher}
+    cfg = write_config(tmp_path, "c.json", doc)
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(case=fuzzed_configs())
 @example(case=("train-teacher", {"dataset": {"spread": 1e308}}))  # features overflow float64
 @example(case=("landscape", {"span": 1.5e308}))  # its grid would overflow to inf
 def test_argument_step_returns_kwargs_or_config_error(tiny_teacher, case):
     """Every well-typed config either validates or is a usage error (exit 2)
-    before anything is written; no other exception and no numpy warning."""
+    before anything is written; no other exception and no numpy warning.  A
+    rejected config also exits 2 through main, into a directory left empty."""
     command, doc = case
     if command == "distill":
         doc["teacher"] = tiny_teacher  # an unreadable teacher exits 5 by design
     try:
         kwargs = cli._COMMANDS[command][0](cli._merge(cli._DEFAULTS[command], doc))
     except cli.ConfigError:
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = os.path.join(tmp, "c.json"), os.path.join(tmp, "o")
+            with open(cfg, "w") as f:
+                json.dump(doc, f)
+            os.mkdir(out)
+            assert main([command, "--config", cfg, "--out", out]) == EXIT_USAGE
+            assert os.listdir(out) == []
         return
     assert type(kwargs) is dict

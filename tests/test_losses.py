@@ -123,12 +123,51 @@ class TestKnowledgeDistillation:
 
     @pytest.mark.parametrize("divergence", ["forward-kl", "reverse-kl", "js"])
     def test_gradient_against_finite_differences(self, divergence):
+        """Also at the CE weights 0 and 1, where one of the two terms is skipped."""
         rng = make_rng(25)
         s, t, y = random_batch(rng, 3, 10)
-        err = grad_check(
-            lambda x: kd_loss(x, t, y, alpha=0.3, tau=2.0, divergence=divergence), s
-        )
-        assert err < 1e-6
+        for alpha in (0.3, 0.0, 1.0):
+            err = grad_check(
+                lambda x: kd_loss(x, t, y, alpha=alpha, tau=2.0, divergence=divergence), s
+            )
+            assert err < 1e-6, alpha
+
+    @pytest.mark.parametrize("divergence", DIVERGENCES)
+    def test_ce_weight_one_is_ce_bit_for_bit(self, divergence):
+        """At alpha 1 the divergence is not evaluated, so kd gives ce_loss's
+        loss, gradient and rows, without a warning, also on rows whose
+        divergence is +inf: reverse KL against a teacher class of probability
+        0, and forward KL on a student row about 1e308 wide at tau 0.5."""
+        rng = make_rng(31)
+        s, t, y = random_batch(rng, 4, 3)
+        s[1], t[1] = [0.0, 0.0, 0.0], [0.0, 0.0, -1e308]
+        s[2], t[2] = [1e308, 0.0, -1e308 + 1e307], [0.0, 0.0, 0.0]
+        for batch in (s, np.stack([s, -s])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = kd_loss(batch, t, y, alpha=1.0, tau=0.5, divergence=divergence)
+            ce = ce_loss(batch, y)
+            for got, want in zip((res.loss, res.grad, res.rows), (ce.loss, ce.grad, ce.rows)):
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_ce_weight_zero_never_evaluates_ce(self, monkeypatch):
+        """kd (every divergence, the wide forward-KL rows included) and dist (with
+        and without the intra-class term) at alpha 0 call ce_loss zero times."""
+        calls = []
+        real = losses.ce_loss
+        monkeypatch.setattr(losses, "ce_loss", lambda *a: calls.append(a) or real(*a))
+        rng = make_rng(32)
+        s, t, y = random_batch(rng, 4, 5)
+        s[0] = [1e308, 0.0, -5e307, 1.0, 2.0]
+        for divergence in DIVERGENCES:
+            kd_loss(s, t, y, alpha=0.0, tau=0.5, divergence=divergence)
+        dist_loss(s, t, y, alpha=0.0)
+        dist_loss(np.stack([s, -s]), t, y, alpha=0.0, gamma=0.0)
+        assert calls == []
+        kd_loss(s, t, y, alpha=0.1)
+        dist_loss(s, t, y, alpha=0.1)
+        assert len(calls) == 2  # the counter sees the calls a CE weight above 0 makes
 
     def test_js_is_symmetric_and_bounded(self):
         rng = make_rng(26)
@@ -256,10 +295,12 @@ class TestDistLoss:
         assert abs(res.loss) < 1e-9
 
     def test_gradient_against_finite_differences(self):
+        """Also at the CE weights 0 (CE skipped) and 1."""
         rng = make_rng(29)
         s, t, y = random_batch(rng, 8, 10, scale=2.0)
-        err = grad_check(lambda x: dist_loss(x, t, y, 0.1, 0.45, 0.45, 1.0), s)
-        assert err < 1e-5
+        for alpha in (0.1, 0.0, 1.0):
+            err = grad_check(lambda x: dist_loss(x, t, y, alpha, 0.45, 0.45, 1.0), s)
+            assert err < 1e-5, alpha
 
     def test_gradient_with_temperature(self):
         rng = make_rng(30)
