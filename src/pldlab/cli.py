@@ -7,8 +7,8 @@ validates it.  Only a valid configuration is echoed to ``<out>/config.json``,
 so any run can be reproduced exactly from its own artifacts.
 
 Exit codes: 0 success, 2 usage or configuration error (a size beyond the
-host's memory included), 3 verification failure, 4 training failure, 5 I/O
-error.
+host's memory or numpy's largest array included), 3 verification failure,
+4 training failure, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -402,23 +403,23 @@ def cmd_gradcheck(
 
 
 def _training_args(config: dict) -> dict:
-    dataset = _build(make_blobs, config["dataset"], "dataset")
     sizes = config["layer_sizes"]
     if len(sizes) < 2 or min(sizes) < 1:
         raise ConfigError(f"invalid layer sizes {sizes}")
-    if sizes[0] != dataset.dim or sizes[-1] != dataset.n_classes:
-        raise ConfigError(
-            f"layer_sizes {sizes} must start at the data dim {dataset.dim} "
-            f"and end at the {dataset.n_classes} classes"
-        )
-    return {
-        "dataset": dataset,
+    training = {  # every field that needs no dataset, checked before one is built
         "layer_sizes": sizes,
         "opt_cfg": _build(OptimizerConfig, config["optimizer"], "optimizer"),
         "epochs": _count(config["epochs"], "epochs", 1),
         "seed": _seed(config["seed"]),
         "batch_size": _count(config["batch_size"], "batch_size", 1),
     }
+    dataset = _build(make_blobs, config["dataset"], "dataset")
+    if sizes[0] != dataset.dim or sizes[-1] != dataset.n_classes:
+        raise ConfigError(
+            f"layer_sizes {sizes} must start at the data dim {dataset.dim} "
+            f"and end at the {dataset.n_classes} classes"
+        )
+    return {"dataset": dataset, **training}
 
 
 def cmd_train_teacher(out_dir: str, **training) -> int:
@@ -518,6 +519,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pldlab",
@@ -543,9 +545,12 @@ def main(argv=None) -> int:
         _echo_config(args.command, config, out_dir)
         try:
             return run(out_dir, **kwargs)
-        except MemoryError:  # the run failed before writing anything: take its echo back
+        except (MemoryError, ValueError) as exc:  # ConfigError is a ValueError
+            if not isinstance(exc, MemoryError) and "array is too big" not in str(exc):
+                raise
+            # beyond memory or numpy's largest array: nothing written but the echo
             os.remove(os.path.join(out_dir, "config.json"))
-            raise
+            raise MemoryError(exc) from exc
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,6 +4,9 @@ All routines work in 64-bit floats, reject non-finite input at the
 boundary, and are pure functions of their arguments.  Softmax-style
 quantities are always computed after max-subtraction so that logits of
 magnitude around 700 (the float64 exp limit) stay representable.
+A running log-sum-exp row wider than _FAST_LCSE_SPAN is banded (exponents
+floored at _EXP_FLOOR, its low prefix computed again) or, when that prefix
+is over 1/8 of the row, summed by the sequential np.logaddexp.accumulate.
 """
 
 from __future__ import annotations
@@ -25,8 +28,11 @@ __all__ = [
 ]
 
 # Row spread below which exp(x - rowmax) keeps full relative precision in a
-# plain cumulative sum; beyond it we fall back to pairwise log-add updates.
+# plain cumulative sum; wider rows are banded or summed sequentially.
 _FAST_LCSE_SPAN = 600.0
+# Exponents are floored here before exp on the wide paths: exp of a smaller
+# argument is subnormal or 0, which numpy computes ~200x slower.
+_EXP_FLOOR = -700.0
 
 # numpy's stable argsort costs about N*C*log2(C) (binary insertion and merges);
 # the packed sort a fixed ~25 us for its dozen array passes plus a linear term.
@@ -127,7 +133,8 @@ def log_cumsum_exp(v) -> np.ndarray:
 
     Entries equal to -inf are permitted (they contribute nothing); all other
     entries must be finite.  Each prefix is accurate to ~1e-13 relative even
-    when later entries dominate earlier ones by hundreds of nats.
+    when later entries dominate earlier ones by hundreds of nats (a wide row
+    is banded or summed sequentially: see _log_cumsum_exp_rows).
     """
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim == 0 or arr.size == 0:
@@ -137,27 +144,43 @@ def log_cumsum_exp(v) -> np.ndarray:
     return _log_cumsum_exp_rows(arr.reshape(-1, arr.shape[-1])).reshape(arr.shape)
 
 
-def _log_cumsum_exp_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise running log-sum-exp of a 2-D array.
+def _log_cumsum_exp_rows(x: np.ndarray, n: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise running log-sum-exp of a 2-D array; with ``n``, row i is n[i]
+    entries followed by padding.  Each row gets the bits of its one-row call.
 
-    Fast path: rows whose finite spread fits in _FAST_LCSE_SPAN are shifted
-    by their max and cumulatively summed in linear space (a sum of positives,
-    so every prefix keeps full relative precision).  Wide rows fall back to
-    sequential np.logaddexp, which is exact for any spread.  A batch with no
-    -inf entry and every row narrow takes the linear formula after one max
-    and one min pass; every other batch is split by row below.
+    A batch with no -inf and every row's spread below _FAST_LCSE_SPAN is
+    shifted by the row max and summed in linear space (a sum of positives: full
+    relative precision).  Otherwise a row whose low prefix (its entries before
+    the first within the span of its max) is at most 1/8 of it, or only -inf,
+    is banded: the same sum with exponents floored at _EXP_FLOOR.  From the
+    span on the sum is >= e^-600 and the floored terms add <= C*e^-700, under
+    half an ulp, so a narrow row keeps its bits; the low prefix is computed
+    again by this function, padded with its own max.  Other rows, and rows of
+    all -inf, take np.logaddexp.accumulate, exact for any spread.
     """
     m = x.max(axis=1, keepdims=True)
     lo = x.min(axis=1, keepdims=True)
     if lo.min() > -np.inf and ((m - lo) < _FAST_LCSE_SPAN).all():  # NaN fails both
         return np.log(np.cumsum(np.exp(x - m), axis=1)) + m
-    m[np.isneginf(m)] = 0.0  # a row of all -inf: log(0) + 0 = -inf
-    finite_min = np.where(np.isinf(x), np.inf, x).min(axis=1, keepdims=True)
-    narrow = ((m - finite_min) < _FAST_LCSE_SPAN).ravel()
+    start = np.argmax(x >= m - _FAST_LCSE_SPAN, axis=1)
+    seq = 8 * start > (x.shape[1] if n is None else n)
+    if seq.any():  # a low prefix of -inf alone sums to exactly 0 when banded
+        seq[seq] = np.argmax(x[seq] > -np.inf, axis=1) < start[seq]
+    seq |= np.isneginf(m[:, 0])
     out = np.empty_like(x)
-    with np.errstate(divide="ignore"):  # log(0) = -inf for -inf prefixes
-        out[narrow] = np.log(np.cumsum(np.exp(x[narrow] - m[narrow]), axis=1)) + m[narrow]
-    out[~narrow] = np.logaddexp.accumulate(x[~narrow], axis=1)
+    out[seq] = np.logaddexp.accumulate(x[seq], axis=1)
+    band = np.flatnonzero(~seq)
+    z = np.exp(np.maximum(x[band] - m[band], _EXP_FLOOR))
+    z = np.log(np.cumsum(z, axis=1, out=z), out=z) + m[band]
+    k = start[band]
+    redo = np.flatnonzero(k)
+    if redo.size:  # the low prefixes, padded to the longest
+        k, w = k[redo], k.max()
+        inside = np.arange(w) < k[:, None]
+        p = x[band[redo], :w]
+        p = np.where(inside, p, np.where(inside, p, -np.inf).max(axis=1, keepdims=True))
+        z[redo, :w] = np.where(inside, _log_cumsum_exp_rows(p, k), z[redo, :w])
+    out[band] = z
     return out
 
 

@@ -561,14 +561,23 @@ def tiny_teacher(tmp_path_factory):
     ("landscape", {"n_classes": 10**17}),
     ("gradcheck", {"class_counts": [10**17]}),
     ("bench", {"sizes": [[10**17, 10]]}),
-    # 16 x 10**17 weights would pass numpy's largest array, a ValueError, not a MemoryError
     ("train-teacher", {"layer_sizes": [16, 10**16, 10]}),
     ("distill", {"layer_sizes": [16, 10**16, 10]}),
-], ids=["landscape", "gradcheck", "bench", "train-teacher", "distill"])
+    # beyond numpy's largest array (2**63 bytes): numpy raises a ValueError
+    ("landscape", {"n_classes": 2**62}),
+    ("landscape", {"resolution": 2**62}),
+    ("gradcheck", {"class_counts": [2**62]}),
+    ("bench", {"sizes": [[2**62, 10]]}),
+    ("train-teacher", {"layer_sizes": [16, 10**17, 10]}),
+    ("distill", {"layer_sizes": [16, 10**17, 10]}),
+], ids=["landscape", "gradcheck", "bench", "train-teacher", "distill",
+        "landscape-classes-too-big", "landscape-resolution-too-big", "gradcheck-too-big",
+        "bench-too-big", "train-teacher-too-big", "distill-too-big"])
 def test_size_beyond_memory_is_usage_error(tmp_path, capsys, tiny_teacher, command, doc):
     """Each config fails at its first allocation, of 1e17 floats or more (711
-    PiB, beyond any address space): exit 2 with a one-line message, and the
-    output directory keeps no config.json, as the run wrote nothing else."""
+    PiB, beyond any address space), or of more than numpy's largest array,
+    which numpy refuses before allocating: exit 2 with a one-line message, and
+    the output directory keeps no config.json, as the run wrote nothing else."""
     if command == "distill":
         doc = {**doc, "teacher": tiny_teacher}
     cfg = write_config(tmp_path, "c.json", doc)

@@ -33,7 +33,9 @@ from pldlab.losses import (
     teacher_targets,
 )
 from pldlab.numerics import make_rng, softmax
-from pldlab.ranking import pl_enumerate, pl_log_likelihood, teacher_optimal_permutation
+from pldlab.ranking import (
+    pl_enumerate, pl_log_likelihood, pl_position_nll, teacher_optimal_permutation,
+)
 
 
 def random_batch(rng, n, c, scale=1.0):
@@ -1025,6 +1027,42 @@ def test_pld_matches_oracles_on_both_gradient_tails(shift, case):
     assert abs(plain.loss - shifted.loss) < 1e-8
     assert np.abs(shifted.grad.sum(axis=1)).max() < 1e-8
 
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), c=st.integers(2, 48),
+       tau=st.sampled_from([0.02, 1.0]))
+@pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
+def test_pld_on_wide_rows_matches_oracles(scheme, seed, n, c, tau):
+    """Student rows x300 (the banded and sequential running log-sum-exp, the
+    log-space tail with its exp floor), and weights of exactly 0 (onehot-first,
+    or teacher-softmax at tau_T 0.02): rows and loss within 1e-12 of the O(C^2)
+    oracle, relative to the value or the rows' largest logit; gradient rows
+    within 1e-10 of their largest weight (the scale of each entry's terms)
+    plus the exp(-700) below which entries are set to 0, and summing to 0;
+    onehot-first equal to ce_loss; no warning."""
+    rng = make_rng(seed)
+    s, t = 300.0 * rng.normal(size=(n, c)), rng.normal(size=(n, c)) * 4.0
+    y = rng.integers(0, c, size=n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = pld_loss(s, t, y, tau_T=tau, scheme=scheme)
+        ce = ce_loss(s, y)
+    scale = 1e-12 * np.abs(s).max()
+    expected = np.empty(n)
+    for i in range(n):
+        pi = teacher_optimal_permutation(t[i], y[i])
+        w = make_weights(t[i], pi, scheme, tau)
+        expected[i] = w @ pl_position_nll(s[i][pi])
+        g = pld_gradient_closed_form(s[i], pi, w)
+        assert np.abs(res.grad[i] * n - g).max() <= 1e-10 * w.max() + np.exp(-700.0)
+    np.testing.assert_allclose(res.rows, expected, rtol=1e-12, atol=scale)
+    assert res.loss == pytest.approx(expected.mean(), rel=1e-12, abs=scale)
+    assert np.abs(res.grad.sum(axis=1)).max() < 1e-8
+    if scheme == "onehot-first":
+        np.testing.assert_allclose(res.rows, ce.rows, rtol=1e-12, atol=scale)
+        assert res.loss == pytest.approx(ce.loss, rel=1e-12, abs=scale)
+        np.testing.assert_allclose(res.grad, ce.grad, rtol=0, atol=1e-12)
 
 BASELINE_KERNELS = {
     **{f"kd {d}": lambda s, t, y, tau, d=d: kd_loss(s, t, y, tau=tau, divergence=d)

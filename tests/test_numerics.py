@@ -24,13 +24,14 @@ from pldlab.numerics import (
 
 
 def naive_log_cumsum_exp(v):
-    """Per-prefix oracle: an independent log-sum-exp for every prefix."""
+    """Per-prefix oracle: an independent log-sum-exp for every prefix (-inf
+    for a prefix of -inf entries)."""
     v = np.asarray(v, dtype=np.float64)
     out = np.empty_like(v)
     for j in range(v.shape[0]):
         prefix = v[: j + 1]
         m = prefix.max()
-        out[j] = m + math.log(np.exp(prefix - m).sum())
+        out[j] = m if m == -np.inf else m + math.log(np.exp(prefix - m).sum())
     return out
 
 
@@ -182,29 +183,64 @@ class TestLogCumsumExp:
             log_cumsum_exp(np.float64(1.0))
 
 
-ROW_KINDS = ("narrow", "wide", "some -inf", "all -inf")
+ROW_KINDS = ("narrow", "wide", "some -inf", "all -inf", "banded", "ladder", "huge")
+
+
+@st.composite
+def banded_row(draw, c):
+    """c entries: a top part within the span of its max, after a low prefix of
+    at most c // 8 entries lying 600 to 2600 nats below it, itself drawn the
+    same way (so a row of 64 can hold a second band), and maybe -inf entries
+    in the top part (never at its max)."""
+    k = draw(st.just(c // 8) | st.integers(0, c // 8))
+    top = np.array(draw(st.lists(st.floats(-0.8 * _FAST_LCSE_SPAN, 0.0), min_size=c - k,
+                                 max_size=c - k)))
+    top[draw(st.integers(0, c - k - 1))] = 0.0
+    if c - k > 1 and draw(st.booleans()):
+        dead = np.array(draw(st.lists(st.booleans(), min_size=c - k, max_size=c - k)))
+        top[dead & (top < 0.0)] = -np.inf
+    if k == 0:
+        return top
+    low = draw(banded_row(k))
+    low += -_FAST_LCSE_SPAN - draw(st.floats(0.0, 2000.0)) - low.max()
+    return np.concatenate([low, top])
 
 
 @st.composite
 def lcse_rows(draw, kinds):
     """A batch of rows, each of a kind drawn from ``kinds``: narrow (finite
     spread below _FAST_LCSE_SPAN), wide (spread at least that), either with
-    some -inf entries, or all -inf."""
-    c = draw(st.integers(1, 9))
+    some -inf entries (maybe a leading run of them), all -inf, banded (see
+    banded_row), a ladder of steps of 600 to 1000 nats up or down, or huge
+    (entries up to 1e300 apart)."""
+    c = draw(st.just(64) | st.integers(1, 64))
     rows = []
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(kinds))
+        shift = draw(st.floats(-700.0, 700.0))
         if kind == "all -inf":
             rows.append(np.full(c, -np.inf))
             continue
+        if kind == "banded":
+            rows.append(shift + draw(banded_row(c)))
+            continue
+        if kind == "ladder":
+            steps = draw(st.lists(st.floats(_FAST_LCSE_SPAN, 1000.0), min_size=c, max_size=c))
+            rows.append(shift + np.cumsum(steps) * draw(st.sampled_from([1.0, -1.0])))
+            continue
+        if kind == "huge":
+            rows.append(np.array(draw(st.lists(st.floats(-1e300, 1e300), min_size=c, max_size=c))))
+            continue
         width = (0.45 if kind == "narrow" or c == 1 else 3.0) * _FAST_LCSE_SPAN
-        row = draw(st.floats(-700.0, 700.0)) + np.array(
+        row = shift + np.array(
             draw(st.lists(st.floats(-width, width), min_size=c, max_size=c))
         )
         if kind == "wide" and c > 1:
             row[draw(st.integers(0, c - 1))] = row.max() - _FAST_LCSE_SPAN - draw(st.floats(0, 900))
         if kind == "some -inf" and c > 1:
-            dead = draw(st.lists(st.booleans(), min_size=c, max_size=c))
+            lead = draw(st.integers(0, c - 1))  # a leading run of -inf
+            dead = [j < lead or d for j, d in enumerate(
+                draw(st.lists(st.booleans(), min_size=c, max_size=c)))]
             keep = draw(st.integers(0, c - 1))
             row[[d and j != keep for j, d in enumerate(dead)]] = -np.inf
         rows.append(row)
@@ -213,19 +249,20 @@ def lcse_rows(draw, kinds):
 
 @settings(max_examples=20, derandomize=True, deadline=None)
 @pytest.mark.parametrize("kinds", [("narrow",), ("wide",), ("narrow", "wide"), ("some -inf",),
-                                   ("all -inf",), ROW_KINDS])
+                                   ("all -inf",), ROW_KINDS, ("banded",), ("ladder",), ("huge",),
+                                   ("banded", "ladder", "narrow")])
 @given(data=st.data())
 def test_log_cumsum_exp_rows_properties(kinds, data):
-    """Each branch against np.logaddexp.accumulate: -inf in the same places,
-    finite prefixes within 1e-13 relative, and every row equal bit for bit to
-    its one-row call."""
+    """Each route against np.logaddexp.accumulate and the per-prefix oracle:
+    -inf in the same places, finite prefixes within 1e-13 relative, and every
+    row equal bit for bit to its one-row call."""
     x = data.draw(lcse_rows(kinds))
     out = _log_cumsum_exp_rows(x)
-    ref = np.logaddexp.accumulate(x, axis=1)
-    np.testing.assert_array_equal(np.isneginf(out), np.isneginf(ref))
-    live = np.isfinite(ref)
-    assert np.isfinite(out[live]).all()
-    assert (np.abs(out[live] - ref[live]) <= 1e-13 * np.maximum(1.0, np.abs(ref[live]))).all()
+    for ref in (np.logaddexp.accumulate(x, axis=1), np.array([naive_log_cumsum_exp(r) for r in x])):
+        np.testing.assert_array_equal(np.isneginf(out), np.isneginf(ref))
+        live = np.isfinite(ref)
+        assert np.isfinite(out[live]).all()
+        assert (np.abs(out[live] - ref[live]) <= 1e-13 * np.maximum(1.0, np.abs(ref[live]))).all()
     for i, row in enumerate(x):
         assert out[i].tobytes() == _log_cumsum_exp_rows(row[None])[0].tobytes()
 
@@ -428,3 +465,29 @@ def test_log_cumsum_exp_rows_shortcut_uses_the_general_formula(x, data):
     short = _log_cumsum_exp_rows(x)
     general = _log_cumsum_exp_rows(np.concatenate([x, extra]))
     assert short.tobytes() == general[:-1].tobytes()
+
+
+def test_low_prefix_takes_the_route_of_its_own_length():
+    """The low prefixes of a batch are computed again together, padded to the
+    longest: here one of 8 entries and others of 4 whose own low prefix, one
+    entry, is more than 1/8 of 4 but not of 8.  Each row still equals its
+    one-row call bit for bit."""
+    rng = make_rng(8)
+    rows = [np.r_[-1000.0 + rng.uniform(-50.0, 0.0, 8), rng.uniform(-300.0, 0.0, 56)]]
+    rows += [np.r_[-3000.0, -1000.0 + rng.uniform(-50.0, 0.0, 3), rng.uniform(-300.0, 0.0, 60)]
+             for _ in range(30)]
+    x = np.array(rows)
+    out = _log_cumsum_exp_rows(x)
+    for i, row in enumerate(x):
+        assert out[i].tobytes() == _log_cumsum_exp_rows(row[None])[0].tobytes()
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(x=lcse_rows(("narrow",)), lead=st.integers(1, 64))
+def test_leading_neg_inf_keeps_the_narrow_bits(x, lead):
+    """A narrow batch behind a run of -inf entries of any length (beyond 1/8
+    of the row, too) keeps the bits of the early return, with -inf in front."""
+    padded = np.concatenate([np.full((x.shape[0], lead), -np.inf), x], axis=1)
+    out = _log_cumsum_exp_rows(padded)
+    assert np.isneginf(out[:, :lead]).all()
+    assert out[:, lead:].tobytes() == _log_cumsum_exp_rows(x).tobytes()
