@@ -83,6 +83,8 @@ def check_bench_config(sizes, kinds, trials: int, warmup: int) -> None:
             raise ValueError(f"invalid benchmark size ({n}, {c})")
     for kind in kinds:
         default_loss_config(kind)
+    if len({(n, c) for n, c in sizes}) < len(sizes) or len(set(kinds)) < len(kinds):
+        raise ValueError(f"sizes or kinds repeat an entry: {sizes}, {kinds}")
 
 
 def growth_exponent(results, kind: str) -> float:

@@ -224,14 +224,14 @@ def ce_loss(s_batch, labels) -> LossResult:
 
 
 def ls_loss(s_batch, labels, epsilon: float) -> LossResult:
-    """Cross-entropy against the label-smoothed target (1-eps)*onehot + eps/C."""
+    """Cross-entropy against the label-smoothed target (1-eps)*onehot + eps/C; 0 log 0 = 0."""
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     s, _, y = _inputs(s_batch, None, labels, teacher=False)
     n, c = s.shape[-2:]
     target = (1.0 - epsilon) * _onehot(y, c) + epsilon / c
     logq = log_softmax(s)
-    sums = (target * logq).sum(axis=-1)
+    sums = np.multiply(target, logq, out=np.zeros(logq.shape), where=target > 0).sum(axis=-1)
     loss = -sums.mean(axis=-1)
     grad = (np.exp(logq) - target) / n
     return LossResult(_per_batch(loss), grad, -sums)

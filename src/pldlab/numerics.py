@@ -5,8 +5,8 @@ boundary, and are pure functions of their arguments.  Softmax-style
 quantities are always computed after max-subtraction so that logits of
 magnitude around 700 (the float64 exp limit) stay representable.
 A running log-sum-exp row wider than _FAST_LCSE_SPAN is banded (exponents
-floored at _EXP_FLOOR, its low prefix computed again) or, when that prefix
-is over 1/8 of the row, summed by the sequential np.logaddexp.accumulate.
+floored at _EXP_FLOOR, its low prefix summed by np.logaddexp.accumulate) or,
+when that prefix is over 1/8 of the row, summed whole by that scalar loop.
 """
 
 from __future__ import annotations
@@ -144,9 +144,8 @@ def log_cumsum_exp(v) -> np.ndarray:
     return _log_cumsum_exp_rows(arr.reshape(-1, arr.shape[-1])).reshape(arr.shape)
 
 
-def _log_cumsum_exp_rows(x: np.ndarray, n: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise running log-sum-exp of a 2-D array; with ``n``, row i is n[i]
-    entries followed by padding.  Each row gets the bits of its one-row call.
+def _log_cumsum_exp_rows(x: np.ndarray) -> np.ndarray:
+    """Row-wise running log-sum-exp of a 2-D array, each row with its one-row call's bits.
 
     A batch with no -inf and every row's spread below _FAST_LCSE_SPAN is
     shifted by the row max and summed in linear space (a sum of positives: full
@@ -154,32 +153,34 @@ def _log_cumsum_exp_rows(x: np.ndarray, n: np.ndarray | None = None) -> np.ndarr
     the first within the span of its max) is at most 1/8 of it, or only -inf,
     is banded: the same sum with exponents floored at _EXP_FLOOR.  From the
     span on the sum is >= e^-600 and the floored terms add <= C*e^-700, under
-    half an ulp, so a narrow row keeps its bits; the low prefix is computed
-    again by this function, padded with its own max.  Other rows, and rows of
-    all -inf, take np.logaddexp.accumulate, exact for any spread.
+    half an ulp, so a narrow row keeps its bits; the low prefix is summed again
+    by np.logaddexp.accumulate.  Other rows, and rows of all -inf, take
+    np.logaddexp.accumulate whole: it is exact for any spread.
     """
     m = x.max(axis=1, keepdims=True)
     lo = x.min(axis=1, keepdims=True)
     if lo.min() > -np.inf and ((m - lo) < _FAST_LCSE_SPAN).all():  # NaN fails both
         return np.log(np.cumsum(np.exp(x - m), axis=1)) + m
     start = np.argmax(x >= m - _FAST_LCSE_SPAN, axis=1)
-    seq = 8 * start > (x.shape[1] if n is None else n)
+    seq = 8 * start > x.shape[1]
     if seq.any():  # a low prefix of -inf alone sums to exactly 0 when banded
         seq[seq] = np.argmax(x[seq] > -np.inf, axis=1) < start[seq]
     seq |= np.isneginf(m[:, 0])
-    out = np.empty_like(x)
-    out[seq] = np.logaddexp.accumulate(x[seq], axis=1)
     band = np.flatnonzero(~seq)
-    z = np.exp(np.maximum(x[band] - m[band], _EXP_FLOOR))
-    z = np.log(np.cumsum(z, axis=1, out=z), out=z) + m[band]
+    z = x[band]  # a copy: the rest runs in place
+    z -= m[band]
+    np.log(np.cumsum(np.exp(np.maximum(z, _EXP_FLOOR, out=z), out=z), axis=1, out=z), out=z)
+    z += m[band]
     k = start[band]
     redo = np.flatnonzero(k)
-    if redo.size:  # the low prefixes, padded to the longest
+    if redo.size:  # the low prefixes; a prefix sum reads only the entries before it
         k, w = k[redo], k.max()
-        inside = np.arange(w) < k[:, None]
-        p = x[band[redo], :w]
-        p = np.where(inside, p, np.where(inside, p, -np.inf).max(axis=1, keepdims=True))
-        z[redo, :w] = np.where(inside, _log_cumsum_exp_rows(p, k), z[redo, :w])
+        p = np.logaddexp.accumulate(x[band[redo], :w], axis=1)
+        z[redo, :w] = np.where(np.arange(w) < k[:, None], p, z[redo, :w])
+    if band.size == x.shape[0]:  # no row takes the sequential route
+        return z
+    out = np.empty_like(x)
+    out[seq] = np.logaddexp.accumulate(x[seq], axis=1)
     out[band] = z
     return out
 

@@ -19,7 +19,7 @@ import itertools
 
 import numpy as np
 
-from .numerics import _log_cumsum_exp_rows, argsort_stable, as_finite_vector
+from .numerics import _log_cumsum_exp_rows, argsort_stable, as_finite_vector, as_labels
 
 __all__ = [
     "EnumerationLimitError",
@@ -59,11 +59,7 @@ def teacher_optimal_permutation(t, y: int) -> np.ndarray:
     Ties among equal teacher logits break toward the lower class index.
     """
     t = as_finite_vector(t, "teacher logits")
-    c = t.shape[0]
-    y = int(y)
-    if not 0 <= y < c:
-        raise ValueError(f"label {y} out of range for {c} classes")
-    return ascending_rankings(t[None], [y])[0, ::-1]
+    return ascending_rankings(t[None], as_labels(y, t.shape[0], 1))[0, ::-1]
 
 
 def ascending_rankings(t_batch: np.ndarray, labels: np.ndarray) -> np.ndarray:

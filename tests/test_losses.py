@@ -90,6 +90,17 @@ class TestLabelSmoothing:
         assert a.loss == pytest.approx(b.loss, abs=1e-12)
         np.testing.assert_allclose(a.grad, b.grad, atol=1e-12)
 
+    def test_epsilon_zero_on_a_row_wider_than_float64_is_ce(self):
+        """A class of target 0 and log-probability -inf adds 0, not NaN."""
+        s = [[1e308, -1e308, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = ls_loss(s, [0], 0.0)
+            b = ce_loss(s, [0])
+        assert a.loss == b.loss
+        np.testing.assert_array_equal(a.rows, b.rows)
+        np.testing.assert_array_equal(a.grad, b.grad)
+
     def test_uniform_logits_value_is_target_independent(self):
         res = ls_loss([[0.0, 0.0]], [0], 0.1)
         assert res.loss == pytest.approx(math.log(2.0), abs=1e-14)

@@ -468,10 +468,10 @@ def test_log_cumsum_exp_rows_shortcut_uses_the_general_formula(x, data):
 
 
 def test_low_prefix_takes_the_route_of_its_own_length():
-    """The low prefixes of a batch are computed again together, padded to the
-    longest: here one of 8 entries and others of 4 whose own low prefix, one
-    entry, is more than 1/8 of 4 but not of 8.  Each row still equals its
-    one-row call bit for bit."""
+    """The low prefixes of a batch are summed again together, over the width of
+    the longest: here one of 8 entries and others of 4, each led by an entry
+    2000 nats further down.  Each row still equals its one-row call bit for
+    bit."""
     rng = make_rng(8)
     rows = [np.r_[-1000.0 + rng.uniform(-50.0, 0.0, 8), rng.uniform(-300.0, 0.0, 56)]]
     rows += [np.r_[-3000.0, -1000.0 + rng.uniform(-50.0, 0.0, 3), rng.uniform(-300.0, 0.0, 60)]
@@ -480,6 +480,25 @@ def test_low_prefix_takes_the_route_of_its_own_length():
     out = _log_cumsum_exp_rows(x)
     for i, row in enumerate(x):
         assert out[i].tobytes() == _log_cumsum_exp_rows(row[None])[0].tobytes()
+
+
+def test_banded_low_prefix_is_summed_by_logaddexp():
+    """A banded row's outputs over its low prefix are np.logaddexp.accumulate
+    of that prefix, bit for bit, for prefixes of 1, C/16 and C/8 entries whose
+    own spread is narrow or wide, all in one batch."""
+    rng = make_rng(19)
+    c = 256
+    rows, lengths = [], []
+    for k in (1, c // 16, c // 8):
+        for width in (50.0, 1500.0):
+            for _ in range(3):
+                rows.append(np.r_[-1000.0 + rng.uniform(-width, 0.0, k),
+                                  rng.uniform(-300.0, 0.0, c - k)])
+                lengths.append(k)
+    x = np.array(rows)
+    out = _log_cumsum_exp_rows(x)
+    for row, got, k in zip(x, out, lengths):
+        assert got[:k].tobytes() == np.logaddexp.accumulate(row[:k]).tobytes()
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

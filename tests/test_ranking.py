@@ -66,6 +66,12 @@ class TestTeacherOptimalPermutation:
         with pytest.raises(ValueError):
             teacher_optimal_permutation([1.0, 2.0], -1)
 
+    def test_non_integer_label_is_refused(self):
+        """A float or bool label is refused, as every loss kernel refuses it."""
+        for y in (1.9, 1.0, True):
+            with pytest.raises(ValueError):
+                teacher_optimal_permutation([1.0, 2.0, 3.0], y)
+
     def test_batch_matches_single(self):
         rng = make_rng(11)
         t = rng.normal(size=(20, 7))
