@@ -390,14 +390,14 @@ class TestInvalidValues:
             ("bench", {"sizes": []}),  # would write a header-only bench.csv
             ("bench", {"kinds": []}),
             ("gradcheck", {"losses": ["ce", "ce"]}),  # would write each ce row twice
-            ("bench", {"kinds": ["ce", "ce"], "sizes": [[4, 8], [4, 8]]}),  # 4 equal rows
-            ("bench", {"kinds": ["ce", "pld", "ce"], "sizes": [[4, 8]]}),
-            ("bench", {"kinds": ["ce"], "sizes": [[4, 8], [4, 16], [4, 8]]}),
             ("gradcheck", {"losses": ["pld"], "teacher_temperatures": [1.0, 1.0]}),
             ("landscape", {"temperatures": [1.0, 1]}),  # would write 18 rows per 9 points
             ("landscape", {"loss_kinds": ["pld", "kd", "pld"]}),
             ("landscape", {"seed": -1}),
             ("landscape", {"span": 1.5e308}),  # the grid would overflow to inf
+            ("bench", {"kinds": ["ce", "ce"], "sizes": [[4, 8], [4, 8]]}),  # 4 equal rows
+            ("bench", {"kinds": ["ce", "pld", "ce"], "sizes": [[4, 8]]}),
+            ("bench", {"kinds": ["ce"], "sizes": [[4, 8], [4, 16], [4, 8]]}),
         ],
     )
     def test_usage_error_before_anything_is_written(self, tmp_path, capsys, command, doc):
