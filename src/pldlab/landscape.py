@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lab.io import atomic_write_text
-from .losses import ce_loss, dist_loss, kd_loss, pld_loss
+from .losses import _tau_squared, ce_loss, dist_loss, kd_loss, pld_loss
 from .numerics import make_rng
 
 __all__ = [
@@ -71,8 +71,10 @@ class SliceSpec:
             raise ValueError("span must be positive")
         if self.span > _MAX_SPAN:
             raise ValueError(f"span must be at most {_MAX_SPAN!r}, so the grid stays finite")
-        if not self.temperatures or any(not t > 0 for t in self.temperatures):
-            raise ValueError("temperatures must be positive")
+        if not self.temperatures:
+            raise ValueError("temperatures must be nonempty")
+        for t in self.temperatures:
+            _tau_squared(t, "temperatures")
         if len({float(t) for t in self.temperatures}) < len(self.temperatures):
             raise ValueError(f"temperatures repeat an entry: {self.temperatures}")
         bad = [k for k in self.loss_kinds if k not in SLICE_LOSS_KINDS]

@@ -133,8 +133,7 @@ class DistillLossConfig:
             raise ValueError(f"unknown weight scheme {self.pld_scheme!r}")
         if not 0.0 <= self.ce_mix <= 1.0:
             raise ValueError("ce_mix must lie in [0, 1]")
-        if not self.kd_temperature > 0:
-            raise ValueError("kd_temperature must be positive")
+        _tau_squared(self.kd_temperature, "kd_temperature")
         if not self.teacher_temperature > 0:
             raise ValueError("teacher_temperature must be positive")
         if not (self.dist_beta >= 0 and self.dist_gamma >= 0):
@@ -167,6 +166,15 @@ def default_loss_config(kind: str, **overrides) -> DistillLossConfig:
     return DistillLossConfig(kind=kind, **overrides)
 
 
+def _tau_squared(tau, name: str = "temperature") -> float:
+    """tau * tau; ValueError unless tau > 0 and the square is a positive finite
+    float64.  kd weighs its divergence by it, and tau ** 2 would raise OverflowError."""
+    square = float(tau) * float(tau)
+    if not (tau > 0 and 0.0 < square < np.inf):
+        raise ValueError(f"{name} must be positive with a square in the float64 range, got {tau}")
+    return square
+
+
 def _per_batch(loss):
     """A batch's reduced loss as a float; a stack's as one loss per batch."""
     return loss if isinstance(loss, np.ndarray) else float(loss)
@@ -195,12 +203,6 @@ def _one_ranking(pi, n_classes: int) -> np.ndarray:
     return pi
 
 
-def _onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((labels.shape[0], n_classes))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
 def _inputs(s_batch, t_batch, labels, teacher: bool = True):
     """The kernels' checked inputs: the student stack (..., N, C), the N x C
     teacher batch of the same shape (None without ``teacher``), the N labels."""
@@ -215,26 +217,31 @@ def _inputs(s_batch, t_batch, labels, teacher: bool = True):
 def ce_loss(s_batch, labels) -> LossResult:
     """Cross-entropy on hard labels: mean of log-sum-exp(s) - s_y."""
     s, _, y = _inputs(s_batch, None, labels, teacher=False)
-    n, c = s.shape[-2:]
+    n = s.shape[-2]
     logq = log_softmax(s)
     picked = logq[..., np.arange(n), y]
     loss = -(picked.sum(axis=-1) / n)  # the bits of -picked.mean(axis=-1), with less overhead
-    grad = (np.exp(logq) - _onehot(y, c)) / n
+    grad = np.exp(logq)
+    grad[..., np.arange(n), y] -= 1.0
+    grad /= n
     return LossResult(_per_batch(loss), grad, -picked)
 
 
 def ls_loss(s_batch, labels, epsilon: float) -> LossResult:
-    """Cross-entropy against the label-smoothed target (1-eps)*onehot + eps/C; 0 log 0 = 0."""
+    """Cross-entropy against the label-smoothed target (1-eps)*onehot + eps/C: CE
+    plus eps*(s_y - mean(s)), scaled before the sum so a finite value stays finite."""
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     s, _, y = _inputs(s_batch, None, labels, teacher=False)
+    if epsilon == 0.0:
+        return ce_loss(s, y)
     n, c = s.shape[-2:]
-    target = (1.0 - epsilon) * _onehot(y, c) + epsilon / c
-    logq = log_softmax(s)
-    sums = np.multiply(target, logq, out=np.zeros(logq.shape), where=target > 0).sum(axis=-1)
-    loss = -sums.mean(axis=-1)
-    grad = (np.exp(logq) - target) / n
-    return LossResult(_per_batch(loss), grad, -sums)
+    grad = np.full(s.shape, -epsilon / c / n)  # eps * (onehot - 1/C) / n
+    grad[..., np.arange(n), y] += epsilon / n
+    with np.errstate(over="ignore"):  # a term beyond the float64 range is +inf
+        rows = epsilon * s[..., np.arange(n), y] - (epsilon / c * s).sum(axis=-1)
+        loss = rows.sum(axis=-1) / n
+    return _plus_ce(s, y, 1.0, loss, grad, rows)
 
 
 def _plus_ce(s, y, alpha: float, loss, grad, rows) -> LossResult:
@@ -278,7 +285,8 @@ def kd_loss(
     ``divergence`` picks D: forward KL (teacher || student), reverse KL
     (student || teacher), or Jensen-Shannon against the mixture, of both
     distributions softened by ``tau`` (tau^2 keeps gradient magnitudes
-    comparable across temperatures).  A class of probability 0 adds 0 to D
+    comparable across temperatures; a tau whose square overflows or is 0
+    raises ValueError).  A class of probability 0 adds 0 to D
     and its gradient (0 log 0 = 0).  Reverse KL is +inf where the teacher
     gives 0 and the student does not, which is its value; that row's
     gradient is then not finite (NaN, without a warning), so training stops
@@ -292,6 +300,7 @@ def kd_loss(
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if divergence not in DIVERGENCES:
         raise ValueError(f"unknown divergence {divergence!r}")
+    tau2 = _tau_squared(tau)
     if targets is None:
         s, t, y = _inputs(s_batch, t_batch, labels)
         logp, p = _kd_targets(t, tau)
@@ -322,7 +331,7 @@ def kd_loss(
         v = 0.5 * d
         dgrad = q * (v - (q * v).sum(axis=-1, keepdims=True)) / tau
 
-    mix = (1.0 - alpha) * tau**2
+    mix = (1.0 - alpha) * tau2
     with np.errstate(over="ignore"):  # a divergence beyond the float64 range is +inf
         loss = mix * (div.sum(axis=-1) / n)
         dgrad *= mix  # mix * dgrad / n, in dgrad's buffer
@@ -330,7 +339,7 @@ def kd_loss(
         rows = mix * div
     if divergence == "forward-kl" and tau < 1.0 and np.isinf(div).any():
         wide = (np.isneginf(logq) & (p > 0)).any(axis=-1)
-        scaled = tau**2 * div
+        scaled = tau2 * div
         scaled[wide] = _tempered_kl(s[wide], np.broadcast_to(logp, s.shape)[wide],
                                     np.broadcast_to(p, s.shape)[wide], tau)
         rows[wide] = (1.0 - alpha) * scaled[wide]

@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -398,9 +399,19 @@ class TestInvalidValues:
             ("bench", {"kinds": ["ce", "ce"], "sizes": [[4, 8], [4, 8]]}),  # 4 equal rows
             ("bench", {"kinds": ["ce", "pld", "ce"], "sizes": [[4, 8]]}),
             ("bench", {"kinds": ["ce"], "sizes": [[4, 8], [4, 16], [4, 8]]}),
+            # kd weighs by tau^2, which overflows to inf or underflows to 0
+            ("distill", {"loss": {"kind": "kd", "kd_temperature": 1e200}}),
+            ("landscape", {"temperatures": [1e200]}),
+            ("landscape", {"temperatures": [5e-324]}),
+            ("distill", {"loss": {"kind": "kd", "kd_temperature": 1e-320}}),
+            ("bench", {"sizes": [[1, 10]], "kinds": ["dist"]}),  # intra-class term needs 2 rows
         ],
     )
-    def test_usage_error_before_anything_is_written(self, tmp_path, capsys, command, doc):
+    def test_usage_error_before_anything_is_written(
+        self, tmp_path, capsys, tiny_teacher, command, doc
+    ):
+        if command == "distill":
+            doc = {"teacher": tiny_teacher, **doc}
         cfg = write_config(tmp_path, "c.json", doc)
         out = tmp_path / "o"
         assert run([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
@@ -614,3 +625,45 @@ def test_argument_step_returns_kwargs_or_config_error(tiny_teacher, case):
             assert os.listdir(out) == []
         return
     assert type(kwargs) is dict
+
+
+# Configs whose run steps take milliseconds, so the fuzzer can run them.
+_QUICK_RUNS = {
+    "landscape": {"resolution": 3, "n_classes": 4},
+    "bench": {"sizes": [[2, 4]], "trials": 1, "warmup": 0},
+}
+
+
+@st.composite
+def fuzzed_quick_runs(draw):
+    """landscape or bench from its quick config, with one or two top-level
+    fields replaced by extremes; bench's trials and warmup are never drawn."""
+    command = draw(st.sampled_from(sorted(_QUICK_RUNS)))
+    doc = dict(_QUICK_RUNS[command])
+    defaults = cli._merge(cli._DEFAULTS[command], doc)
+    fields = sorted(set(defaults) - {"trials", "warmup"})
+    for key in draw(st.lists(st.sampled_from(fields), min_size=1, max_size=2, unique=True)):
+        doc[key] = draw(st.sampled_from(_extremes(defaults[key])))
+    return command, doc
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(case=fuzzed_quick_runs())
+@example(case=("landscape", {**_QUICK_RUNS["landscape"], "temperatures": [1e200]}))
+@example(case=("bench", {**_QUICK_RUNS["bench"], "sizes": [[1, 10]], "kinds": ["dist"]}))
+def test_run_step_exits_cleanly(case):
+    """A config that passes the argument step also runs: through main, every
+    config exits 0 or 2 with no exception and no warning, and a usage error
+    leaves its output directory empty."""
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "c.json"), os.path.join(tmp, "o")
+        with open(cfg, "w") as f:
+            json.dump(doc, f)
+        os.mkdir(out)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", cfg, "--out", out])
+        assert code in (EXIT_OK, EXIT_USAGE)
+        if code == EXIT_USAGE:
+            assert os.listdir(out) == []

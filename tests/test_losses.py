@@ -32,7 +32,7 @@ from pldlab.losses import (
     student_teacher_kl,
     teacher_targets,
 )
-from pldlab.numerics import make_rng, softmax
+from pldlab.numerics import log_softmax, make_rng, softmax
 from pldlab.ranking import (
     pl_enumerate, pl_log_likelihood, pl_position_nll, teacher_optimal_permutation,
 )
@@ -117,6 +117,49 @@ class TestLabelSmoothing:
         with pytest.raises(ValueError):
             ls_loss([[0.0, 1.0]], [0], -0.1)
 
+    def test_epsilon_zero_has_the_bits_of_ce(self):
+        rng = make_rng(27)
+        s, _, y = random_batch(rng, 5, 8, scale=30.0)
+        for batch, labels in ((s, y), (np.stack([s, -s]), y), ([[1e308, -1e308, 0.0]], [0])):
+            a, b = ls_loss(batch, labels, 0.0), ce_loss(batch, labels)
+            for got, want in zip((a.loss, a.grad, a.rows), (b.loss, b.grad, b.rows)):
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("row, value", [([1e308, -1e308, 0.0], 1e307),
+                                            ([1e308, 1e308, -1e308], 1e307 - 1e308 / 30)],
+                             ids=["ce-zero", "sum-overflows"])
+    def test_row_wider_than_float64_stays_finite(self, row, value):
+        """CE is at most log 2 on these rows, and eps*(s_y - mean(s)) is about
+        1e307: each logit is scaled before the sum, so nothing overflows."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = ls_loss([row], [0], 0.1)
+        assert res.loss == pytest.approx(value, rel=1e-12)
+        np.testing.assert_allclose(res.rows, [value], rtol=1e-12)
+        assert np.isfinite(res.grad).all()
+
+    @pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.5, 0.9])
+    def test_matches_the_smoothed_target_formula(self, epsilon):
+        """Against the explicit target t = (1-eps)*onehot + eps/C: rows
+        -sum t*log q, gradient (q - t)/N, on batches and stacks of logits up
+        to +-700 in size, to 1e-12 relative (gradients relative to 1/N)."""
+        rng = make_rng(28)
+        for trial in range(40):
+            n, c = int(rng.integers(1, 7)), int(rng.integers(2, 12))
+            shape = (n, c) if trial % 2 else (int(rng.integers(1, 4)), n, c)
+            s = rng.uniform(-1.0, 1.0, size=shape) * [1e-3, 1.0, 30.0, 700.0][trial % 4]
+            y = rng.integers(0, c, size=n)
+            target = np.full((n, c), epsilon / c)
+            target[np.arange(n), y] += 1.0 - epsilon
+            logq = log_softmax(s)
+            rows = -(target * logq).sum(axis=-1)
+            res = ls_loss(s, y, epsilon)
+            np.testing.assert_allclose(res.rows, rows, rtol=1e-12)
+            np.testing.assert_allclose(res.loss, rows.mean(axis=-1), rtol=1e-12)
+            np.testing.assert_allclose(res.grad, (np.exp(logq) - target) / n,
+                                       rtol=1e-12, atol=1e-12 / n)
+
 
 class TestKnowledgeDistillation:
     @pytest.mark.parametrize("divergence", ["forward-kl", "reverse-kl", "js"])
@@ -181,6 +224,15 @@ class TestKnowledgeDistillation:
         kd_loss(s, t, y, alpha=0.1)
         dist_loss(s, t, y, alpha=0.1)
         assert len(calls) == 2  # the counter sees the calls a CE weight above 0 makes
+
+    @pytest.mark.parametrize("tau", [1e200, 1e-200])
+    def test_temperature_whose_square_leaves_float64_is_refused(self, tau):
+        """tau^2 weighs the divergence: it overflows to inf or underflows to 0."""
+        rng = make_rng(33)
+        s, t, y = random_batch(rng, 3, 4)
+        for alpha in (0.0, 0.1, 1.0):
+            with pytest.raises(ValueError, match="square"):
+                kd_loss(s, t, y, alpha=alpha, tau=tau)
 
     def test_js_is_symmetric_and_bounded(self):
         rng = make_rng(26)
