@@ -82,8 +82,7 @@ def check_bench_config(sizes, kinds, trials: int, warmup: int) -> None:
         if n < 1 or c < 2:
             raise ValueError(f"invalid benchmark size ({n}, {c})")
     for kind in kinds:
-        cfg = default_loss_config(kind)
-        if cfg.kind == "dist" and cfg.dist_gamma > 0 and min(n for n, _ in sizes) < 2:
+        if min(n for n, _ in sizes) < default_loss_config(kind).min_batch_rows:
             raise ValueError("dist's intra-class term needs a batch of at least 2 rows")
     if len({(n, c) for n, c in sizes}) < len(sizes) or len(set(kinds)) < len(kinds):
         raise ValueError(f"sizes or kinds repeat an entry: {sizes}, {kinds}")

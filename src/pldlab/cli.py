@@ -6,9 +6,12 @@ JSON config file (unknown keys are rejected), then command-line flags, and
 validates it.  Only a valid configuration is echoed to ``<out>/config.json``,
 so any run can be reproduced exactly from its own artifacts.
 
-Exit codes: 0 success, 2 usage or configuration error (a size beyond the
-host's memory or numpy's largest array included), 3 verification failure,
-4 training failure, 5 I/O error.
+Run steps return their artifacts and write nothing; ``main`` alone writes.
+Exit codes, and what each leaves: 0 success (the echo and every artifact);
+2 usage or configuration error, a size beyond the host's memory or numpy's
+largest array included (nothing); 3 verification failure (the echo and the
+check's CSV); 4 training failure (the echo only); 5 I/O error (whatever was
+written before it).
 """
 
 from __future__ import annotations
@@ -225,7 +228,7 @@ def _losscheck_args(config: dict) -> dict:
     }
 
 
-def cmd_losscheck(out_dir: str, seed: int, instances: int, max_c: int) -> int:
+def cmd_losscheck(seed: int, instances: int, max_c: int) -> tuple:
     rng = make_rng(seed)
     checks = []  # (name, worst, tolerance)
 
@@ -300,10 +303,8 @@ def cmd_losscheck(out_dir: str, seed: int, instances: int, max_c: int) -> int:
         failed = failed or status == "FAIL"
         print(f"{name:<38} {err:>12.3e} {tol:>10.0e} {status}")
         lines.append(f"{name},{float(err)!r},{float(tol)!r},{status}")
-    atomic_write_text(os.path.join(out_dir, "losscheck.csv"), "\n".join(lines) + "\n")
-    if failed:
-        raise VerificationFailure("loss identity checks failed")
-    return EXIT_OK
+    failure = "loss identity checks failed" if failed else None
+    return {"losscheck.csv": "\n".join(lines) + "\n"}, failure
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +361,9 @@ def _gradcheck_args(config: dict) -> dict:
 
 
 def cmd_gradcheck(
-    out_dir: str, seed: int, step: float, floor: float, trials: int,
-    threshold: float, sizes: list, variants: list,
-) -> int:
+    seed: int, step: float, floor: float, trials: int, threshold: float, sizes: list,
+    variants: list,
+) -> tuple:
     rng = make_rng(seed)
     dist_row_only = default_loss_config("dist", dist_gamma=0.0)
     rows = []
@@ -371,9 +372,7 @@ def cmd_gradcheck(
         worst = {}
         for trial in range(trials):
             n, c = sizes[trial % len(sizes)]
-            cfg_nc = loss_cfg
-            if loss_cfg.kind == "dist" and n < 2:
-                cfg_nc = dist_row_only  # intra-class term requires >= 2 rows
+            cfg_nc = loss_cfg if n >= loss_cfg.min_batch_rows else dist_row_only
             s = rng.normal(size=(n, c))
             t = rng.normal(size=(n, c))
             y = rng.integers(0, c, size=n)
@@ -388,14 +387,11 @@ def cmd_gradcheck(
     lines = ["loss_kind,n_classes,batch,max_rel_error"]
     for label, c, n, err in rows:
         lines.append(f"{label},{c},{n},{float(err)!r}")
-    atomic_write_text(os.path.join(out_dir, "gradcheck.csv"), "\n".join(lines) + "\n")
     print(f"gradcheck: {len(rows)} cells, worst relative error {worst_overall:.3e} "
           f"(threshold {threshold:.0e})")
-    if worst_overall > threshold:
-        raise VerificationFailure(
-            f"gradient check failed: {worst_overall:.3e} > {threshold:.0e}"
-        )
-    return EXIT_OK
+    failed = worst_overall > threshold
+    failure = f"gradient check failed: {worst_overall:.3e} > {threshold:.0e}" if failed else None
+    return {"gradcheck.csv": "\n".join(lines) + "\n"}, failure
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +418,11 @@ def _training_args(config: dict) -> dict:
     return {"dataset": dataset, **training}
 
 
-def cmd_train_teacher(out_dir: str, **training) -> int:
+def cmd_train_teacher(**training) -> tuple:
     model, records = train_teacher(**training)
-    atomic_write_text(
-        os.path.join(out_dir, "teacher.json"), json.dumps(model_to_dict(model))
-    )
-    atomic_write_text(os.path.join(out_dir, "metrics.csv"), metrics_to_csv(records))
     print(f"teacher trained: {len(records)} epochs, final test top-1 {records[-1].test_top1:.4f}")
-    return EXIT_OK
+    return {"teacher.json": json.dumps(model_to_dict(model)),
+            "metrics.csv": metrics_to_csv(records)}, None
 
 
 def _distill_args(config: dict) -> dict:
@@ -448,20 +441,14 @@ def _distill_args(config: dict) -> dict:
     return {"teacher": teacher, "loss_cfg": loss_cfg, **training}
 
 
-def cmd_distill(out_dir: str, teacher, loss_cfg, **training) -> int:
-    try:
-        run = distill_student(teacher=teacher, loss_cfg=loss_cfg, **training)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    atomic_write_text(
-        os.path.join(out_dir, "student.json"), json.dumps(model_to_dict(run.model))
-    )
-    atomic_write_text(os.path.join(out_dir, "metrics.csv"), metrics_to_csv(run.records))
+def cmd_distill(teacher, loss_cfg, **training) -> tuple:
+    run = distill_student(teacher=teacher, loss_cfg=loss_cfg, **training)
     print(
         f"student distilled with loss={loss_cfg.kind}: {len(run.records)} epochs, "
         f"final test top-1 {run.records[-1].test_top1:.4f}"
     )
-    return EXIT_OK
+    return {"student.json": json.dumps(model_to_dict(run.model)),
+            "metrics.csv": metrics_to_csv(run.records)}, None
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +461,11 @@ def _landscape_args(config: dict) -> dict:
     return {"spec": _build(SliceSpec, spec, "landscape")}
 
 
-def cmd_landscape(out_dir: str, spec: SliceSpec) -> int:
-    grid = make_slice(spec)
-    atomic_write_text(os.path.join(out_dir, "landscape.csv"), slice_to_csv(grid))
+def cmd_landscape(spec: SliceSpec) -> tuple:
+    csv = slice_to_csv(make_slice(spec))
     points = spec.resolution**2 * len(spec.loss_kinds) * len(spec.temperatures)
     print(f"landscape: wrote {points} grid values")
-    return EXIT_OK
+    return {"landscape.csv": csv}, None
 
 
 def _bench_args(config: dict) -> dict:
@@ -488,9 +474,8 @@ def _bench_args(config: dict) -> dict:
     return {**bench, "seed": _seed(config["seed"])}
 
 
-def cmd_bench(out_dir: str, **bench) -> int:
+def cmd_bench(**bench) -> tuple:
     results = bench_losses(**bench)
-    atomic_write_text(os.path.join(out_dir, "bench.csv"), bench_to_csv(results))
     print(f"{'loss':<6} {'batch':>6} {'classes':>8} {'median_ms':>10}")
     for r in results:
         print(f"{r.loss_kind:<6} {r.batch:>6} {r.n_classes:>8} {r.median_seconds * 1e3:>10.3f}")
@@ -498,7 +483,7 @@ def cmd_bench(out_dir: str, **bench) -> int:
         print(f"pld growth exponent in C: {growth_exponent(results, 'pld'):.3f}")
     except ValueError:
         pass
-    return EXIT_OK
+    return {"bench.csv": bench_to_csv(results)}, None
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +491,9 @@ def cmd_bench(out_dir: str, **bench) -> int:
 
 
 # command -> (argument step, run step).  The argument step turns the resolved
-# config into validated keyword arguments and raises ConfigError before
-# anything is written; the run step takes the output directory and those
-# arguments.
+# config into validated keyword arguments and raises ConfigError.  The run
+# step takes those arguments and returns (artifacts, failure): file name ->
+# text in write order, and None or a verification failure's message.
 _COMMANDS = {
     "losscheck": (_losscheck_args, cmd_losscheck),
     "gradcheck": (_gradcheck_args, cmd_gradcheck),
@@ -540,17 +525,22 @@ def main(argv=None) -> int:
         config = _resolve_config(args.command, args)
         command_args, run = _COMMANDS[args.command]
         kwargs = command_args(config)
-        out_dir = args.out
-        os.makedirs(out_dir, exist_ok=True)
-        _echo_config(args.command, config, out_dir)
+        os.makedirs(args.out, exist_ok=True)
         try:
-            return run(out_dir, **kwargs)
-        except (MemoryError, ValueError) as exc:  # ConfigError is a ValueError
-            if not isinstance(exc, MemoryError) and "array is too big" not in str(exc):
+            artifacts, failure = run(**kwargs)
+        except TrainingFailure:
+            _echo_config(args.command, config, args.out)
+            raise
+        except ValueError as exc:
+            if "array is too big" not in str(exc):
                 raise
-            # beyond memory or numpy's largest array: nothing written but the echo
-            os.remove(os.path.join(out_dir, "config.json"))
-            raise MemoryError(exc) from exc
+            raise MemoryError(exc) from exc  # beyond numpy's largest array
+        _echo_config(args.command, config, args.out)
+        for name, text in artifacts.items():
+            atomic_write_text(os.path.join(args.out, name), text)
+        if failure is not None:
+            raise VerificationFailure(failure)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,8 +3,8 @@
 Runs are deterministic functions of (config, seed): parameter init and
 minibatch shuffling come from one counter-based generator, the data loader
 walks a fixed order, and batch losses reduce sequentially.  A non-finite
-batch loss, or an optimizer step that overflows, aborts the run immediately
-rather than writing poisoned metrics.
+batch loss or test logit, or an optimizer step that overflows, aborts the
+run immediately rather than writing poisoned metrics.
 """
 
 from __future__ import annotations
@@ -97,7 +97,10 @@ def _run_epochs(
                 raise TrainingFailure(f"optimizer step overflowed at epoch {epoch}") from None
             epoch_losses.append(result.loss)
             step_losses.append(result.loss)
-        test_logits = forward(model, dataset.test_features)
+        with np.errstate(over="ignore", invalid="ignore"):
+            test_logits = forward(model, dataset.test_features)
+        if not np.isfinite(test_logits).all():
+            raise TrainingFailure(f"non-finite test logits at epoch {epoch}")
         kl = None if teacher_test is None else student_teacher_kl(test_logits, teacher_test)
         records.append(
             EpochRecord(
@@ -199,7 +202,7 @@ def check_distill(
     if teacher.in_dim != dataset.dim:
         raise ValueError(f"teacher input width {teacher.in_dim} != data dim {dataset.dim}")
     n = dataset.train_features.shape[0]
-    if loss_cfg.kind == "dist" and loss_cfg.dist_gamma > 0 and 1 in (batch_size, n % batch_size):
+    if (n % batch_size or batch_size) < loss_cfg.min_batch_rows:  # the smallest batch
         raise ValueError(
             f"dist with dist_gamma > 0 needs batches of at least 2 rows; "
             f"{n} examples in batches of {batch_size} leave a batch of 1"

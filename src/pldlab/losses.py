@@ -151,6 +151,11 @@ class DistillLossConfig:
         return self.kind not in ("ce", "ls")
 
     @property
+    def min_batch_rows(self) -> int:
+        """Rows a batch needs: 2 for dist with an intra-class term (gamma > 0), else 1."""
+        return 2 if self.kind == "dist" and self.dist_gamma > 0 else 1
+
+    @property
     def pld_args(self) -> dict | None:
         """pld_loss's tau_T and scheme for listmle, plistmle and pld, else None."""
         tau = self.teacher_temperature if self.kind == "pld" else 1.0
@@ -220,7 +225,8 @@ def ce_loss(s_batch, labels) -> LossResult:
     n = s.shape[-2]
     logq = log_softmax(s)
     picked = logq[..., np.arange(n), y]
-    loss = -(picked.sum(axis=-1) / n)  # the bits of -picked.mean(axis=-1), with less overhead
+    with np.errstate(over="ignore"):  # a batch sum beyond the float64 range is +inf
+        loss = -(picked.sum(axis=-1) / n)  # the bits of -picked.mean(axis=-1), with less overhead
     grad = np.exp(logq)
     grad[..., np.arange(n), y] -= 1.0
     grad /= n

@@ -93,8 +93,19 @@ class TestGradcheck:
         )
         code = run(["gradcheck", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == EXIT_VERIFICATION
-        # the full report is still written
-        assert (tmp_path / "o" / "gradcheck.csv").exists()
+        # the full report is still written, beside the echo and nothing else
+        assert sorted(os.listdir(tmp_path / "o")) == ["config.json", "gradcheck.csv"]
+
+    def test_step_beyond_float64_fails_verification_silently(self, tmp_path):
+        """Rows perturbed to about 1e308 make ce's batch sum +inf: a failed
+        check, with no numpy warning."""
+        doc = {"losses": ["ce"], "class_counts": [2, 10], "trials": 2, "step": 1e308}
+        cfg = write_config(tmp_path, "c.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["gradcheck", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_VERIFICATION
+        assert sorted(os.listdir(tmp_path / "o")) == ["config.json", "gradcheck.csv"]
 
     def test_zero_step_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**self.BASE, "step": 0.0})
@@ -503,7 +514,7 @@ def test_default_config_echo_is_pinned(tmp_path, monkeypatch, command):
     save_model(init_mlp([16, 10], make_rng(0)), tmp_path / "teacher.json")
     monkeypatch.chdir(tmp_path)
     args_step, _ = cli._COMMANDS[command]
-    monkeypatch.setitem(cli._COMMANDS, command, (args_step, lambda out_dir, **kw: EXIT_OK))
+    monkeypatch.setitem(cli._COMMANDS, command, (args_step, lambda **kw: ({}, None)))
     assert main([command, "--out", "o"]) == EXIT_OK
     expected = {"format_version": 1, "command": command, **DEFAULT_ECHOES[command]}
     text = (tmp_path / "o" / "config.json").read_text()
@@ -591,7 +602,7 @@ def test_size_beyond_memory_is_usage_error(tmp_path, capsys, tiny_teacher, comma
     """Each config fails at its first allocation, of 1e17 floats or more (711
     PiB, beyond any address space), or of more than numpy's largest array,
     which numpy refuses before allocating: exit 2 with a one-line message, and
-    the output directory keeps no config.json, as the run wrote nothing else."""
+    the output directory stays empty, since main writes only after the run."""
     if command == "distill":
         doc = {**doc, "teacher": tiny_teacher}
     cfg = write_config(tmp_path, "c.json", doc)
@@ -627,35 +638,52 @@ def test_argument_step_returns_kwargs_or_config_error(tiny_teacher, case):
     assert type(kwargs) is dict
 
 
-# Configs whose run steps take milliseconds, so the fuzzer can run them.
-_QUICK_RUNS = {
-    "landscape": {"resolution": 3, "n_classes": 4},
-    "bench": {"sizes": [[2, 4]], "trials": 1, "warmup": 0},
+# Configs whose run steps take milliseconds, so the fuzzer can run them, and
+# the artifacts each writes beside its config echo.
+_TINY_TRAINING = {
+    "dataset": {"train_per_class": 5, "test_per_class": 2}, "layer_sizes": [16, 8, 10],
+    "epochs": 1,
 }
+_QUICK_RUNS = {
+    "landscape": ({"resolution": 3, "n_classes": 4}, ["landscape.csv"]),
+    "bench": ({"sizes": [[2, 4]], "trials": 1, "warmup": 0}, ["bench.csv"]),
+    "train-teacher": (_TINY_TRAINING, ["metrics.csv", "teacher.json"]),
+    "distill": (_TINY_TRAINING, ["metrics.csv", "student.json"]),
+}
+_DIVERGING = {"optimizer": {"learning_rate": 1e300}}
 
 
 @st.composite
 def fuzzed_quick_runs(draw):
-    """landscape or bench from its quick config, with one or two top-level
-    fields replaced by extremes; bench's trials and warmup are never drawn."""
+    """A command from its quick config, with one or two fields replaced by
+    extremes; the counts that set a run's length (bench's trials and warmup,
+    epochs) are never drawn."""
     command = draw(st.sampled_from(sorted(_QUICK_RUNS)))
-    doc = dict(_QUICK_RUNS[command])
+    doc = json.loads(json.dumps(_QUICK_RUNS[command][0]))
     defaults = cli._merge(cli._DEFAULTS[command], doc)
-    fields = sorted(set(defaults) - {"trials", "warmup"})
-    for key in draw(st.lists(st.sampled_from(fields), min_size=1, max_size=2, unique=True)):
-        doc[key] = draw(st.sampled_from(_extremes(defaults[key])))
+    fields = [f for f in _fields(defaults) if f[-1] not in ("trials", "warmup", "epochs")]
+    for path in draw(st.lists(st.sampled_from(fields), min_size=1, max_size=2, unique=True)):
+        default, node = defaults, doc
+        for key in path[:-1]:
+            default, node = default[key], node.setdefault(key, {})
+        node[path[-1]] = draw(st.sampled_from(_extremes(default[path[-1]])))
     return command, doc
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
+@settings(max_examples=120, derandomize=True, deadline=None)
 @given(case=fuzzed_quick_runs())
-@example(case=("landscape", {**_QUICK_RUNS["landscape"], "temperatures": [1e200]}))
-@example(case=("bench", {**_QUICK_RUNS["bench"], "sizes": [[1, 10]], "kinds": ["dist"]}))
-def test_run_step_exits_cleanly(case):
+@example(case=("landscape", {**_QUICK_RUNS["landscape"][0], "temperatures": [1e200]}))
+@example(case=("bench", {**_QUICK_RUNS["bench"][0], "sizes": [[1, 10]], "kinds": ["dist"]}))
+@example(case=("train-teacher", {**_TINY_TRAINING, **_DIVERGING}))  # the last step diverges
+@example(case=("distill", {**_TINY_TRAINING, **_DIVERGING}))
+def test_run_step_exits_cleanly(tiny_teacher, case):
     """A config that passes the argument step also runs: through main, every
-    config exits 0 or 2 with no exception and no warning, and a usage error
-    leaves its output directory empty."""
+    config exits 0, 2 or, for the training commands, 4, with no exception and
+    no warning, and leaves the files of its exit code: the echo and every
+    artifact after 0, nothing after 2, the echo alone after 4."""
     command, doc = case
+    if command == "distill":
+        doc = {**doc, "teacher": tiny_teacher}
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = os.path.join(tmp, "c.json"), os.path.join(tmp, "o")
         with open(cfg, "w") as f:
@@ -664,6 +692,11 @@ def test_run_step_exits_cleanly(case):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main([command, "--config", cfg, "--out", out])
-        assert code in (EXIT_OK, EXIT_USAGE)
-        if code == EXIT_USAGE:
-            assert os.listdir(out) == []
+        left = {
+            EXIT_OK: sorted(["config.json", *_QUICK_RUNS[command][1]]),
+            EXIT_USAGE: [],
+        }
+        if command in ("train-teacher", "distill"):
+            left[EXIT_TRAINING] = ["config.json"]
+        assert code in left
+        assert sorted(os.listdir(out)) == left[code]
