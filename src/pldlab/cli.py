@@ -39,6 +39,7 @@ from .lab.train import (
 from .landscape import SliceSpec, make_slice, slice_to_csv
 from .losses import (
     DIVERGENCES,
+    LOSS_KINDS,
     DistillLossConfig,
     ce_loss,
     default_loss_config,
@@ -47,7 +48,8 @@ from .losses import (
     pld_loss,
 )
 from .numerics import make_rng
-from .ranking import pl_enumerate, pl_log_likelihood, pl_position_nll, teacher_optimal_permutation
+from .ranking import (ENUMERATION_MAX_CLASSES, pl_enumerate, pl_log_likelihood, pl_position_nll,
+                      teacher_optimal_permutation)
 
 __all__ = ["main", "ConfigError", "VerificationFailure", "CONFIG_FORMAT_VERSION"]
 
@@ -93,7 +95,7 @@ _DEFAULTS = json.loads(json.dumps({
         "threshold": 1e-5,
         "class_counts": [2, 10, 100],
         "batch_sizes": [1, 8],
-        "losses": ["ce", "ls", "kd", "dist", "listmle", "plistmle", "pld"],
+        "losses": list(LOSS_KINDS),
         "teacher_temperatures": [0.5, 1.0, 4.0],
     },
     "train-teacher": {
@@ -219,8 +221,8 @@ def _seed(value: int) -> int:
 
 
 def _losscheck_args(config: dict) -> dict:
-    if not 2 <= config["oracle_max_classes"] <= 8:
-        raise ConfigError("oracle_max_classes must lie in [2, 8]")
+    if not 2 <= config["oracle_max_classes"] <= ENUMERATION_MAX_CLASSES:
+        raise ConfigError(f"oracle_max_classes must lie in [2, {ENUMERATION_MAX_CLASSES}]")
     return {
         "seed": _seed(config["seed"]),
         "instances": _count(config["instances"], "instances", 1),

@@ -78,7 +78,7 @@ def _run_epochs(
     step_losses = []
     for epoch in range(epochs):
         order = rng.permutation(n)
-        epoch_losses = []
+        first = len(step_losses)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             yb = dataset.train_labels[idx]
@@ -95,7 +95,6 @@ def _run_epochs(
                     step_optimizer(model.params, grad, state, opt_cfg)
             except FloatingPointError:
                 raise TrainingFailure(f"optimizer step overflowed at epoch {epoch}") from None
-            epoch_losses.append(result.loss)
             step_losses.append(result.loss)
         with np.errstate(over="ignore", invalid="ignore"):
             test_logits = forward(model, dataset.test_features)
@@ -105,7 +104,7 @@ def _run_epochs(
         records.append(
             EpochRecord(
                 epoch=epoch,
-                train_loss=float(np.mean(epoch_losses)),
+                train_loss=float(np.mean(step_losses[first:])),
                 test_top1=_top1(test_logits, dataset.test_labels),
                 teacher_kl=kl,
             )

@@ -20,7 +20,7 @@ probe likewise evaluates all of its points in one call.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,17 +100,6 @@ class SliceGrid:
 
 def _draw_directions(rng: np.random.Generator, v: int):
     """Unit anchor plus two Gram-Schmidt-orthonormalized random directions."""
-    t = rng.standard_normal(v)
-    norm = np.linalg.norm(t)
-    for _ in range(_GRAM_SCHMIDT_RETRIES):
-        if norm > _GRAM_SCHMIDT_TOL:
-            break
-        t = rng.standard_normal(v)
-        norm = np.linalg.norm(t)
-    else:
-        raise RuntimeError("could not draw a usable anchor vector")
-    t = t / norm
-
     def orthonormal_to(basis):
         for _ in range(_GRAM_SCHMIDT_RETRIES):
             d = rng.standard_normal(v)
@@ -121,6 +110,7 @@ def _draw_directions(rng: np.random.Generator, v: int):
                 return d / norm
         raise RuntimeError("Gram-Schmidt failed to produce an orthonormal direction")
 
+    t = orthonormal_to([])
     d1 = orthonormal_to([])
     d2 = orthonormal_to([d1])
     return t, d1, d2
@@ -174,20 +164,8 @@ def temperature_sweep(spec: SliceSpec) -> list:
     """One single-temperature grid per configured temperature, sharing the
     anchor and directions (same seed, same slice plane)."""
     grid = make_slice(spec)
-    out = []
-    for temp in spec.temperatures:
-        sub = {
-            (kind, float(temp)): grid.values[(kind, float(temp))]
-            for kind in spec.loss_kinds
-        }
-        out.append(
-            SliceGrid(
-                spec=spec, alphas=grid.alphas, betas=grid.betas,
-                anchor=grid.anchor, d1=grid.d1, d2=grid.d2,
-                label=grid.label, values=sub,
-            )
-        )
-    return out
+    return [replace(grid, values={k: v for k, v in grid.values.items() if k[1] == float(temp)})
+            for temp in spec.temperatures]
 
 
 def line_convexity_probe(

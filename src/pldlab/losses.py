@@ -329,13 +329,12 @@ def kd_loss(
         r = _log_ratio(q, logq, logp)
         div = (q * r).sum(axis=-1)
         with np.errstate(invalid="ignore"):  # inf - inf where div is +inf
-            dgrad = q * (r - (q * r).sum(axis=-1, keepdims=True)) / tau
+            dgrad = _softmax_pullback(q, r, tau)
     else:  # js
         logm = np.logaddexp(logp, logq) - np.log(2.0)
         d = _log_ratio(q, logq, logm)
         div = 0.5 * _kl_terms(p, logp, logm).sum(axis=-1) + 0.5 * (q * d).sum(axis=-1)
-        v = 0.5 * d
-        dgrad = q * (v - (q * v).sum(axis=-1, keepdims=True)) / tau
+        dgrad = _softmax_pullback(q, 0.5 * d, tau)
 
     mix = (1.0 - alpha) * tau2
     with np.errstate(over="ignore"):  # a divergence beyond the float64 range is +inf
@@ -352,6 +351,14 @@ def kd_loss(
         with np.errstate(over="ignore"):
             loss = np.where(wide.any(axis=-1), (1.0 - alpha) * (scaled.sum(axis=-1) / n), loss)[()]
     return _plus_ce(s, y, alpha, loss, dgrad, rows)
+
+
+def _softmax_pullback(q: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
+    """Pull g, a gradient in q = softmax(s / tau), back to s in place: q * (g - <q, g>) / tau."""
+    g -= (q * g).sum(axis=-1, keepdims=True)
+    g *= q
+    g /= tau
+    return g
 
 
 def _tempered_kl(s, logp, p, tau: float) -> np.ndarray:
@@ -455,12 +462,7 @@ def dist_loss(
         rows = None  # the intra-class term couples the rows
         dq += np.multiply(dintra, gamma, out=dintra)
 
-    # pull dL/dq back through the tempered softmax rows: qs * (dq - <qs, dq>) / tau
-    dq -= (qs * dq).sum(axis=-1, keepdims=True)
-    dq *= qs
-    dq /= tau
-
-    return _plus_ce(s, y, alpha, loss, dq, rows)
+    return _plus_ce(s, y, alpha, loss, _softmax_pullback(qs, dq, tau), rows)
 
 
 def _plistmle_weights(n_classes: int) -> np.ndarray:
@@ -668,28 +670,36 @@ def pld_gradient_closed_form(s, pi, alpha) -> np.ndarray:
 def standardize_rows(batch) -> np.ndarray:
     """Row-wise z-score: subtract the row mean, divide by population std + eps.
 
-    Constant rows map to all zeros (the eps guard keeps the division finite).
+    Constant rows map to all zeros (the eps guard keeps the division finite),
+    and every finite row to a finite one, however wide.
     ``batch`` may be a stack (..., N, C) of batches.
     """
     x = as_finite_matrix(batch, "logits", stack=True)
     if x.shape[-1] < 2:
         raise ValueError("standardization needs at least 2 classes")
-    mu = x.mean(axis=-1, keepdims=True)
-    sd = x.std(axis=-1, keepdims=True)
-    return (x - mu) / (sd + _STD_EPS)
+    ctr, sd, u = _row_stats(x)
+    return ctr / (sd + _STD_EPS * u)
+
+
+def _row_stats(x: np.ndarray, u=1.0):
+    """Rows of x * u centred, their std, and u: 1 (np.std's bits), or 2^-600 where that overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # those rows are scaled and redone
+        ctr = x - x.sum(axis=-1, keepdims=True) / x.shape[-1]
+        sd = np.sqrt((ctr * ctr).sum(axis=-1, keepdims=True) / x.shape[-1])
+    if np.isfinite(sd).all():
+        return ctr, sd, u
+    u = np.where(np.isfinite(sd), 1.0, 2.0**-600)
+    return _row_stats(x * u, u)
 
 
 def _standardize_vjp(x: np.ndarray, grad_z: np.ndarray) -> np.ndarray:
     """Pull a gradient in z = (x - mean) / (std + eps) back to x."""
-    c = x.shape[-1]
-    mu = x.mean(axis=-1, keepdims=True)
-    sd = x.std(axis=-1, keepdims=True)
-    d = 1.0 / (sd + _STD_EPS)
-    ctr = x - mu
+    ctr, sd, u = _row_stats(x)  # z = ctr / (sd + eps * u), so dz/dx carries a factor u
+    d = 1.0 / (sd + _STD_EPS * u)
     gbar = grad_z.mean(axis=-1, keepdims=True)
     dot = (grad_z * ctr).sum(axis=-1, keepdims=True)
-    scale = np.where(sd > 0, d * d * dot / (c * np.where(sd > 0, sd, 1.0)), 0.0)
-    return d * (grad_z - gbar) - scale * ctr
+    scale = np.where(sd > 0, d * d * dot / (x.shape[-1] * np.where(sd > 0, sd, 1.0)), 0.0)
+    return u * (d * (grad_z - gbar) - scale * ctr)
 
 
 def grad_check(loss_fn, s0, h: float = 1e-5, floor: float = 1e-8) -> float:

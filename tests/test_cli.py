@@ -258,6 +258,29 @@ class TestDistill:
         assert not (out / "student.json").exists()
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("standardize", ["teacher-only", "both"])
+    def test_huge_teacher_standardizes_as_its_unit_scale_self(self, tmp_path, standardize):
+        """z-scores do not depend on scale.  A [16, 10] teacher with every
+        parameter x1e155 (logit rows about 2.6e155 wide, whose squares overflow)
+        trains a 1-epoch default student as the teacher itself does, to rounding,
+        and raises no numpy warning."""
+        metrics = []
+        for scale in (1.0, 1e155):
+            teacher = init_mlp([16, 10], make_rng(0))
+            teacher.params *= scale
+            save_model(teacher, tmp_path / "teacher.json")
+            doc = {"teacher": str(tmp_path / "teacher.json"),
+                   "loss": {"standardize": standardize}, "epochs": 1}
+            out = tmp_path / f"o{scale}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(["distill", "--config", write_config(tmp_path, "c.json", doc),
+                            "--out", str(out)]) == EXIT_OK
+            metrics.append((out / "metrics.csv").read_text().splitlines()[1].split(","))
+        (_, loss, top1, _), (_, huge_loss, huge_top1, _) = metrics
+        assert float(huge_loss) == pytest.approx(float(loss), rel=1e-7)
+        assert huge_top1 == top1
+
     def test_wide_teacher_reverse_kl_is_training_failure(self, tmp_path, capsys):
         """Teacher logits 2e308 apart give a class probability 0, where the
         student's is not: reverse KL is +inf.  The run exits 4 before it writes

@@ -5,7 +5,8 @@ keep their bytes.
 bytes recorded below, as must a two-epoch teacher and pld, kd and dist
 student runs, and
 ``pld_loss`` on two seeded 32 x 1000 batches must return them (loss,
-gradient and rows).  A change that moves these bits on purpose, such as a
+gradient and rows), as must ``kd_loss`` with reverse KL and with JS and
+``dist_loss`` on the first of them.  A change that moves these bits on purpose, such as a
 sort that moves a permutation, says so in CHANGES.md and records the new
 digests here.  exp and log round differently
 across numpy builds and the SIMD targets numpy dispatches to, so the digests
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from pldlab.cli import EXIT_OK, main
-from pldlab.losses import pld_loss
+from pldlab.losses import dist_loss, kd_loss, pld_loss
 from pldlab.numerics import make_rng
 
 RECORDED_ON = {"numpy": "2.4.6", "simd": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]}
@@ -47,6 +48,19 @@ TRAINING_DIGESTS = {
 KERNEL_DIGESTS = {
     "continuous": "d3adec380b7e6f4b438f80a9acb61000eefcf7dbd88259d6e2de6f2fd73c76ed",
     "tied": "bcb4133070d4bb4cec6f53cbf7e06902bae1c45aa2b8e7129e3ca6bcfb3e7194",
+}
+
+# the same bytes (rows where the result has them) of the baselines at their other
+# defaults on the continuous batch; forward-KL kd and dist also train above
+BASELINE_KERNELS = {
+    "kd-reverse-kl": lambda s, t, y: kd_loss(s, t, y, divergence="reverse-kl"),
+    "kd-js": lambda s, t, y: kd_loss(s, t, y, divergence="js"),
+    "dist": dist_loss,
+}
+BASELINE_KERNEL_DIGESTS = {
+    "kd-reverse-kl": "a543e8b4c8264d81c47a634710d1a2cfe0bc55f56f9e78205f98de44720086bf",
+    "kd-js": "903959dde6e9a7866f854f74ec08ed9186087dadf854e35c27038cf5effc7c19",
+    "dist": "cb9d8aca0d6d0d7557afa5a7bc0015155a13d898e1a5d06aa6ee812a97d17e15",
 }
 
 
@@ -91,11 +105,28 @@ def test_pld_kernel_keeps_its_bytes(mix):
     """Student and teacher logits standard normal (seed 12); the tied mix puts
     the teacher on a 0.5 grid, so nearly every row has tied teacher logits."""
     skip_other_builds()
-    rng = make_rng(12)
-    s, t = rng.normal(size=(32, 1000)), rng.normal(size=(32, 1000))
-    y = rng.integers(0, 1000, 32)
+    s, t, y = _seeded_batch()
     if mix == "tied":
         t = np.round(2.0 * t) / 2.0
-    res = pld_loss(s, t, y)
-    got = hashlib.sha256(np.float64(res.loss).tobytes() + res.grad.tobytes() + res.rows.tobytes())
-    assert got.hexdigest() == KERNEL_DIGESTS[mix]
+    assert _result_digest(pld_loss(s, t, y)) == KERNEL_DIGESTS[mix]
+
+
+@pytest.mark.parametrize("name", sorted(BASELINE_KERNEL_DIGESTS))
+def test_baseline_kernel_keeps_its_bytes(name):
+    """kd's reverse-KL and JS gradients and dist's, each pulled back through the
+    tempered softmax, keep their bits on the pld kernel's continuous batch."""
+    skip_other_builds()
+    res = BASELINE_KERNELS[name](*_seeded_batch())
+    assert _result_digest(res) == BASELINE_KERNEL_DIGESTS[name]
+
+
+def _seeded_batch():
+    """Student and teacher logits standard normal (seed 12) and labels, 32 x 1000."""
+    rng = make_rng(12)
+    s, t = rng.normal(size=(32, 1000)), rng.normal(size=(32, 1000))
+    return s, t, rng.integers(0, 1000, 32)
+
+
+def _result_digest(res) -> str:
+    rows = b"" if res.rows is None else res.rows.tobytes()
+    return hashlib.sha256(np.float64(res.loss).tobytes() + res.grad.tobytes() + rows).hexdigest()

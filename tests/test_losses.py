@@ -720,6 +720,42 @@ class TestStandardize:
         with pytest.raises(ValueError):
             standardize_rows([[1.0]])
 
+    @pytest.mark.parametrize("row, unit", [
+        ([1e200, 0.0, -1e200], [1.0, 0.0, -1.0]),
+        ([1e308, 1e308, -1e308], [1.0, 1.0, -1.0]),
+        ([1.7e308, -1.7e308, 0.0], [1.0, -1.0, 0.0]),
+    ], ids=["squares-overflow", "sum-overflows", "spread-overflows"])
+    def test_row_beyond_the_float64_statistics_stays_finite(self, row, unit):
+        """A row whose squares, sum or centred entries leave the float64 range
+        standardizes silently to its unit-scale z-score, up to eps; the unit row
+        beside it keeps the bits of the np.mean / np.std formula."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = standardize_rows([row, unit])
+        assert np.isfinite(z).all()
+        np.testing.assert_allclose(z[0], z[1], rtol=0, atol=1e-7)
+        u = np.array(unit)
+        np.testing.assert_array_equal(z[1], (u - u.mean()) / (u.std() + 1e-8))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), c=st.integers(2, 12),
+           k=st.integers(0, 1000))
+    def test_scaling_by_a_power_of_two_moves_only_eps(self, seed, n, c, k):
+        """standardize_rows(x * 2^k) is finite, silent and within 1e-7 of
+        standardize_rows(x) for unit-scale rows (eps is the only difference),
+        and its pulled-back gradient is 2^-k times that of x."""
+        rng = make_rng(seed)
+        x = rng.uniform(-4.0, 4.0, size=(n, c))
+        x[:, :2] = (-4.0, 4.0)  # a spread that keeps eps's share below 1e-7
+        g = rng.uniform(-1.0, 1.0, size=(n, c))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = standardize_rows(x * 2.0**k)
+            grad = losses._standardize_vjp(x * 2.0**k, g)
+        assert np.isfinite(z).all() and np.isfinite(grad).all()
+        np.testing.assert_allclose(z, standardize_rows(x), rtol=0, atol=1e-7)
+        np.testing.assert_allclose(grad * 2.0**k, losses._standardize_vjp(x, g), rtol=0, atol=1e-7)
+
     @pytest.mark.parametrize("kind", ["kd", "pld", "dist"])
     def test_gradient_chained_through_standardization(self, kind):
         rng = make_rng(47)
