@@ -2,7 +2,9 @@
 
 Each measurement draws one fixed batch of standard-normal logits, runs a
 few warm-up evaluations, then reports the median over the timed trials.
-Only the loss call itself is timed; data generation is excluded.
+Only the loss call itself is timed; data generation is excluded.  The call
+is evaluate_loss's default, which computes the gradient: a value-only call
+(``grad=False``) would time less than a training step needs.
 """
 
 from __future__ import annotations

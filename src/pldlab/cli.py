@@ -274,7 +274,7 @@ def cmd_losscheck(seed: int, instances: int, max_c: int) -> tuple:
         shift = rng.uniform(-50.0, 50.0)
         for a, kwargs in ((soft, {"tau_T": tau}), (uni, {"scheme": "uniform"}),
                           (pl, {"scheme": "plistmle-exponential"})):
-            b = pld_loss(s + shift, t, y, **kwargs)
+            b = pld_loss(s + shift, t, y, **kwargs, grad=False)
             worst_shift = max(worst_shift, abs(a.loss - b.loss))
             worst_rowsum = max(worst_rowsum, float(np.abs(a.grad.sum(axis=1)).max()))
 
@@ -378,9 +378,9 @@ def cmd_gradcheck(
             s = rng.normal(size=(n, c))
             t = rng.normal(size=(n, c))
             y = rng.integers(0, c, size=n)
-            err = grad_check(
-                lambda x: evaluate_loss(cfg_nc, x, t, y), s, h=step, floor=floor
-            )
+            # grad_check reads the gradient of the N x C batch alone, not of its stacks
+            err = grad_check(lambda x: evaluate_loss(cfg_nc, x, t, y, grad=x.ndim == 2),
+                             s, h=step, floor=floor)
             worst[(n, c)] = max(worst.get((n, c), 0.0), err)
         for (n, c), err in sorted(worst.items()):
             rows.append((label, c, n, err))

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..losses import DistillLossConfig, ce_loss, evaluate_loss, student_teacher_kl, teacher_targets
+from ..losses import (DistillLossConfig, ce_loss, evaluate_loss, standardize_rows,
+                      student_teacher_kl, teacher_targets)
 from ..numerics import make_rng
 from .data import SyntheticDataset
 from .model import MlpModel, backward, forward, forward_trace, init_mlp
@@ -70,6 +71,7 @@ def _run_epochs(
     batch_size: int,
     rng: np.random.Generator,
     teacher_test: np.ndarray | None,
+    standardize_student: bool = False,
 ):
     n = dataset.train_features.shape[0]
     grad = np.empty_like(model.params)
@@ -100,7 +102,8 @@ def _run_epochs(
             test_logits = forward(model, dataset.test_features)
         if not np.isfinite(test_logits).all():
             raise TrainingFailure(f"non-finite test logits at epoch {epoch}")
-        kl = None if teacher_test is None else student_teacher_kl(test_logits, teacher_test)
+        seen = standardize_rows(test_logits) if standardize_student else test_logits
+        kl = None if teacher_test is None else student_teacher_kl(seen, teacher_test)
         records.append(
             EpochRecord(
                 epoch=epoch,
@@ -166,6 +169,8 @@ def distill_student(
     model = init_mlp(layer_sizes, rng)
 
     test_t = _teacher_logits(teacher, dataset.test_features, len(dataset.test_features))
+    if loss_cfg.standardize != "none":  # teacher_kl compares the logits the loss sees
+        test_t = standardize_rows(test_t)
     train_t = None
     if loss_cfg.needs_teacher:
         train_t = _teacher_logits(teacher, dataset.train_features, batch_size)
@@ -176,7 +181,8 @@ def distill_student(
         return evaluate_loss(loss_cfg, logits, None, yb, targets=batch)
 
     records, step_losses = _run_epochs(
-        dataset, model, loss_fn, opt_cfg, epochs, batch_size, rng, teacher_test=test_t
+        dataset, model, loss_fn, opt_cfg, epochs, batch_size, rng, teacher_test=test_t,
+        standardize_student=loss_cfg.standardize == "both",
     )
     return DistillRun(records=records, model=model, step_losses=step_losses)
 

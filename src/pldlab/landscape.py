@@ -121,19 +121,19 @@ def point_loss(kind: str, s: np.ndarray, t: np.ndarray, y: int, temperature: flo
 
     ``s`` is R x C (a single point of shape (C,) counts as R = 1); every row
     shares the teacher logits ``t`` and label ``y``.  Returns the R per-row
-    losses from one kernel call on a stack of R one-row batches, which
-    softens or ranks the shared teacher row once.
+    losses from one value-only kernel call on a stack of R one-row batches,
+    which softens or ranks the shared teacher row once.
     """
     s3 = np.atleast_2d(s)[:, None, :]
     t1, y1 = np.asarray(t, dtype=np.float64)[None], [int(y)]
     if kind == "pld":
-        res = pld_loss(s3, t1, y1, tau_T=temperature)
+        res = pld_loss(s3, t1, y1, tau_T=temperature, grad=False)
     elif kind == "kd":
-        res = kd_loss(s3, t1, y1, alpha=0.0, tau=temperature)
+        res = kd_loss(s3, t1, y1, alpha=0.0, tau=temperature, grad=False)
     elif kind == "dist":
-        res = dist_loss(s3, t1, y1, alpha=0.0, beta=1.0, gamma=0.0, tau=temperature)
+        res = dist_loss(s3, t1, y1, alpha=0.0, beta=1.0, gamma=0.0, tau=temperature, grad=False)
     elif kind == "ce":
-        res = ce_loss(s3, y1)
+        res = ce_loss(s3, y1, grad=False)
     else:
         raise ValueError(f"unsupported slice loss kind {kind!r}")
     return res.rows[:, 0]

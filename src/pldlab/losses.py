@@ -5,7 +5,8 @@ targets it needs and returns a `LossResult`: the batch-mean loss, the
 exact gradient with respect to the student logits and, when rows do not
 interact, the per-row losses whose mean is the loss.  Gradients are what the
 finite-difference checker validates; none of the kernels rely on automatic
-differentiation.
+differentiation.  A value-only call (keyword ``grad=False``) stops after the
+loss and rows, with the bits of the default call, and returns no gradient.
 
 The student logits may also be a stack (..., N, C) of batches.  The one
 N x C teacher batch and the N labels broadcast over the leading axes, and
@@ -97,10 +98,11 @@ class LossResult:
     with one loss per batch, ``grad`` has the stack's shape and ``rows`` has
     shape (..., N).  A batch's rows equal those of a call on that batch alone
     bit for bit; its loss and gradient agree with that call to a few ulps.
+    ``grad`` is None on a value-only call (``grad=False``); loss and rows keep their bits.
     """
 
     loss: float | np.ndarray
-    grad: np.ndarray
+    grad: np.ndarray | None
     rows: np.ndarray | None = None
 
 
@@ -219,7 +221,7 @@ def _inputs(s_batch, t_batch, labels, teacher: bool = True):
     return s, t, as_labels(labels, c, n)
 
 
-def ce_loss(s_batch, labels) -> LossResult:
+def ce_loss(s_batch, labels, *, grad: bool = True) -> LossResult:
     """Cross-entropy on hard labels: mean of log-sum-exp(s) - s_y."""
     s, _, y = _inputs(s_batch, None, labels, teacher=False)
     n = s.shape[-2]
@@ -227,36 +229,41 @@ def ce_loss(s_batch, labels) -> LossResult:
     picked = logq[..., np.arange(n), y]
     with np.errstate(over="ignore"):  # a batch sum beyond the float64 range is +inf
         loss = -(picked.sum(axis=-1) / n)  # the bits of -picked.mean(axis=-1), with less overhead
-    grad = np.exp(logq)
-    grad[..., np.arange(n), y] -= 1.0
-    grad /= n
-    return LossResult(_per_batch(loss), grad, -picked)
+    if not grad:
+        return LossResult(_per_batch(loss), None, -picked)
+    g = np.exp(logq)
+    g[..., np.arange(n), y] -= 1.0
+    g /= n
+    return LossResult(_per_batch(loss), g, -picked)
 
 
-def ls_loss(s_batch, labels, epsilon: float) -> LossResult:
+def ls_loss(s_batch, labels, epsilon: float, *, grad: bool = True) -> LossResult:
     """Cross-entropy against the label-smoothed target (1-eps)*onehot + eps/C: CE
     plus eps*(s_y - mean(s)), scaled before the sum so a finite value stays finite."""
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     s, _, y = _inputs(s_batch, None, labels, teacher=False)
     if epsilon == 0.0:
-        return ce_loss(s, y)
+        return ce_loss(s, y) if grad else ce_loss(s, y, grad=False)
     n, c = s.shape[-2:]
-    grad = np.full(s.shape, -epsilon / c / n)  # eps * (onehot - 1/C) / n
-    grad[..., np.arange(n), y] += epsilon / n
+    g = np.full(s.shape, -epsilon / c / n) if grad else None  # eps * (onehot - 1/C) / n
+    if grad:
+        g[..., np.arange(n), y] += epsilon / n
     with np.errstate(over="ignore"):  # a term beyond the float64 range is +inf
         rows = epsilon * s[..., np.arange(n), y] - (epsilon / c * s).sum(axis=-1)
         loss = rows.sum(axis=-1) / n
-    return _plus_ce(s, y, 1.0, loss, grad, rows)
+    return _plus_ce(s, y, 1.0, loss, g, rows)
 
 
 def _plus_ce(s, y, alpha: float, loss, grad, rows) -> LossResult:
-    """alpha * CE plus a soft term's loss, gradient (added to in place) and rows; 0 skips CE."""
-    if alpha > 0:
-        hard = ce_loss(s, y)
+    """alpha * CE plus a soft term's loss, gradient (added to in place, or None) and rows;
+    0 skips CE."""
+    if alpha > 0:  # the gradient path calls ce_loss(s, y), the form its stand-ins take
+        hard = ce_loss(s, y) if grad is not None else ce_loss(s, y, grad=False)
         with np.errstate(over="ignore"):  # a soft term beyond the float64 range is +inf
             loss = alpha * hard.loss + loss
-            grad += np.multiply(hard.grad, alpha, out=hard.grad)
+            if grad is not None:
+                grad += np.multiply(hard.grad, alpha, out=hard.grad)
             rows = None if rows is None else alpha * hard.rows + rows
     return LossResult(_per_batch(loss), grad, rows)
 
@@ -285,6 +292,8 @@ def kd_loss(
     tau: float = 2.0,
     divergence: str = "forward-kl",
     targets=None,
+    *,
+    grad: bool = True,
 ) -> LossResult:
     """Classic distillation: alpha*CE + (1-alpha)*tau^2*D(teacher, student).
 
@@ -317,30 +326,36 @@ def kd_loss(
 
     logq = log_softmax(s, temperature=tau)  # checks tau, also where D has weight 0
     if alpha == 1.0:
-        return ce_loss(s, y)
-    q = np.exp(logq)
+        return ce_loss(s, y) if grad else ce_loss(s, y, grad=False)
 
+    dgrad = None
     if divergence == "forward-kl":
         div = _kl_terms(p, logp, logq).sum(axis=-1)
-        dgrad = q  # (q - p) / tau, in q's buffer
-        dgrad -= p
-        dgrad /= tau
+        if grad:
+            dgrad = np.exp(logq)  # (q - p) / tau, in q's buffer
+            dgrad -= p
+            dgrad /= tau
     elif divergence == "reverse-kl":
+        q = np.exp(logq)
         r = _log_ratio(q, logq, logp)
         div = (q * r).sum(axis=-1)
-        with np.errstate(invalid="ignore"):  # inf - inf where div is +inf
-            dgrad = _softmax_pullback(q, r, tau)
+        if grad:
+            with np.errstate(invalid="ignore"):  # inf - inf where div is +inf
+                dgrad = _softmax_pullback(q, r, tau)
     else:  # js
+        q = np.exp(logq)
         logm = np.logaddexp(logp, logq) - np.log(2.0)
         d = _log_ratio(q, logq, logm)
         div = 0.5 * _kl_terms(p, logp, logm).sum(axis=-1) + 0.5 * (q * d).sum(axis=-1)
-        dgrad = _softmax_pullback(q, 0.5 * d, tau)
+        if grad:
+            dgrad = _softmax_pullback(q, 0.5 * d, tau)
 
     mix = (1.0 - alpha) * tau2
     with np.errstate(over="ignore"):  # a divergence beyond the float64 range is +inf
         loss = mix * (div.sum(axis=-1) / n)
-        dgrad *= mix  # mix * dgrad / n, in dgrad's buffer
-        dgrad /= n
+        if grad:
+            dgrad *= mix  # mix * dgrad / n, in dgrad's buffer
+            dgrad /= n
         rows = mix * div
     if divergence == "forward-kl" and tau < 1.0 and np.isinf(div).any():
         wide = (np.isneginf(logq) & (p > 0)).any(axis=-1)
@@ -371,11 +386,11 @@ def _tempered_kl(s, logp, p, tau: float) -> np.ndarray:
         return tau * _kl_terms(p, tau * logp, tau_logq).sum(axis=-1)
 
 
-def _pearson_terms(x: np.ndarray, rc: np.ndarray, b: np.ndarray, axis: int):
+def _pearson_terms(x: np.ndarray, rc: np.ndarray, b: np.ndarray, axis: int, grad: bool):
     """1 - Pearson along ``axis`` (-1: each row, -2: each column of a batch)
     between ``x`` and a reference given centred along ``axis`` (``rc``) with
-    its squared norms ``b``: (mean residual, residuals, d(mean)/dx), per batch
-    of a stack ``x``.
+    its squared norms ``b``: (mean residual, residuals, d(mean)/dx or None
+    without ``grad``), per batch of a stack ``x``.
 
     The denominator is floored at _PEARSON_EPS so near-constant slices stay
     finite; away from the floor the correlation (and its gradient) is the
@@ -391,6 +406,10 @@ def _pearson_terms(x: np.ndarray, rc: np.ndarray, b: np.ndarray, axis: int):
     floored = base < _PEARSON_EPS
     denom = np.where(floored, _PEARSON_EPS, base)
     rho = dot / denom
+    residuals = (1.0 - rho).squeeze(axis)
+    mean = residuals.sum(axis=-1) / residuals.shape[-1]
+    if not grad:
+        return mean, residuals, None
     xc *= rho  # rho * xc / a, zero on floored slices, in xc's buffer
     xc /= np.where(floored, 1.0, a)
     if floored.any():
@@ -398,8 +417,7 @@ def _pearson_terms(x: np.ndarray, rc: np.ndarray, b: np.ndarray, axis: int):
     dterm = np.divide(rc, denom, out=buf)  # -(rc / denom - xc) / k: dividing by -k negates exactly
     dterm -= xc
     dterm /= -k
-    residuals = (1.0 - rho).squeeze(axis)
-    return residuals.sum(axis=-1) / residuals.shape[-1], residuals, dterm
+    return mean, residuals, dterm
 
 
 def _dist_targets(t: np.ndarray, tau: float):
@@ -419,6 +437,8 @@ def dist_loss(
     gamma: float = 0.45,
     tau: float = 1.0,
     targets=None,
+    *,
+    grad: bool = True,
 ) -> LossResult:
     """Correlation-matching distillation.
 
@@ -449,20 +469,22 @@ def dist_loss(
 
     loss = np.zeros(s.shape[:-2])[()]  # one loss per batch of a stack, even at weights 0
     rows = np.zeros(s.shape[:-1])
-    dq = np.zeros_like(qs)
+    dq = np.zeros_like(qs) if grad else None
     if beta > 0:
-        inter, inter_rows, dinter = _pearson_terms(qs, rc, b, axis=-1)
+        inter, inter_rows, dinter = _pearson_terms(qs, rc, b, -1, grad)
         loss += beta * inter
         rows += beta * inter_rows
-        dq += np.multiply(dinter, beta, out=dinter)
+        if grad:
+            dq += np.multiply(dinter, beta, out=dinter)
     if gamma > 0:
         cc = qt - qt.sum(axis=-2, keepdims=True) / n  # the teacher centred over the batch
-        intra, _, dintra = _pearson_terms(qs, cc, (cc * cc).sum(axis=-2, keepdims=True), axis=-2)
+        intra, _, dintra = _pearson_terms(qs, cc, (cc * cc).sum(axis=-2, keepdims=True), -2, grad)
         loss += gamma * intra
         rows = None  # the intra-class term couples the rows
-        dq += np.multiply(dintra, gamma, out=dintra)
+        if grad:
+            dq += np.multiply(dintra, gamma, out=dintra)
 
-    return _plus_ce(s, y, alpha, loss, _softmax_pullback(qs, dq, tau), rows)
+    return _plus_ce(s, y, alpha, loss, _softmax_pullback(qs, dq, tau) if grad else None, rows)
 
 
 def _plistmle_weights(n_classes: int) -> np.ndarray:
@@ -530,6 +552,8 @@ def pld_loss(
     tau_T: float = 1.0,
     scheme: str = "teacher-softmax",
     targets=None,
+    *,
+    grad: bool = True,
 ) -> LossResult:
     """Weighted ranking likelihood of the teacher-optimal permutation.
 
@@ -544,7 +568,8 @@ def pld_loss(
     log-sum-exp, so prefix j of the sorted row is exactly the suffix term
     of rank C-1-j.  The gradient reuses those running sums: with Z_k the
     suffix normalizer, d/ds_i = exp(s_i) * sum_{k <= rank(i)} alpha_k / Z_k
-    - alpha_rank(i), accumulated in log space so nothing overflows.
+    - alpha_rank(i), accumulated in log space so nothing overflows.  With
+    ``grad=False`` the kernel stops after the rows: no tail, no scatter.
     """
     if targets is None:
         if not tau_T > 0:
@@ -571,25 +596,26 @@ def pld_loss(
     # working set near L2 size roughly halves large-batch wall time (targets too).
     rows_per_chunk = max(1, _PLD_CHUNK_ELEMENTS // c)
     flat = s.reshape(-1, c)
-    grad = np.empty(flat.shape)  # C-contiguous: _pld_apply writes through flat views
+    g = np.empty(flat.shape) if grad else None  # C-contiguous: _pld_apply writes through flat views
     rows = np.empty(flat.shape[0])
     total = 0.0
     for lo in range(0, flat.shape[0], rows_per_chunk):
         part = slice(lo, lo + rows_per_chunk)
         asc, w = (_pld_targets(t[part], y[part], tau_T, scheme) if built
                   else (order[part], tw[part]))
-        total += _pld_apply(flat[part], asc, w, grad[part], rows[part])
-    grad /= n
+        total += _pld_apply(flat[part], asc, w, g if g is None else g[part], rows[part])
+    if grad:
+        g /= n
     if s.ndim == 2:
         loss = total / n if total < np.inf else float(_scaled_mean(rows))  # sum overflowed
-        return LossResult(loss, grad, rows)
+        return LossResult(loss, g, rows)
     rows = rows.reshape(s.shape[:-1])
     with np.errstate(over="ignore"):
         loss = rows.sum(axis=-1) / n
     over = np.isinf(loss)
     if over.any():
         loss[over] = _scaled_mean(rows[over])
-    return LossResult(loss, grad.reshape(s.shape), rows)
+    return LossResult(loss, g if g is None else g.reshape(s.shape), rows)
 
 
 def _scaled_mean(rows: np.ndarray) -> np.ndarray:
@@ -608,7 +634,7 @@ _PLD_CHUNK_ELEMENTS = 1 << 15
 def _pld_apply(s, asc, w, grad_out, rows_out) -> float:
     """Loss sum over one chunk of rows in evaluation order ``asc`` with
     weights ``w``; writes the per-row losses into ``rows_out`` and the unscaled
-    gradient rows into ``grad_out``, a C-contiguous block of rows."""
+    gradient rows into ``grad_out``, a C-contiguous block of rows (None: no gradient)."""
     idx = asc + _row_starts(asc.shape)
     s_perm = s.reshape(-1)[idx]
     lc = _log_cumsum_exp_rows(s_perm)
@@ -617,6 +643,8 @@ def _pld_apply(s, asc, w, grad_out, rows_out) -> float:
     with np.errstate(over="ignore"):  # huge finite rows: pld_loss rescales their mean
         loss_sum = float(terms.sum())
         terms.sum(axis=1, out=rows_out)
+    if grad_out is None:
+        return loss_sum
 
     # d/ds at sorted position j is exp(s_j) * sum_{m>=j} w_m / Z_m - w_j with
     # Z_m the running normalizer exp(lc_m).  When every lc is moderate the
@@ -709,6 +737,8 @@ def grad_check(loss_fn, s0, h: float = 1e-5, floor: float = 1e-8) -> float:
     ``loss_fn`` maps an N x C batch of logits to a LossResult, and a stack
     (B, N, C) of such batches to one result with a loss per batch (and rows
     per batch, when the batch's result has rows), as every loss kernel does.
+    Only the batch's result is read for a gradient; a stack's may be a
+    value-only result (``grad`` None), which is all the check needs.
     Differences at or below the absolute ``floor`` count as exact: central
     differences carry roundoff of order eps*|loss|/h (~1e-11 for unit-scale
     losses), which would otherwise swamp the relative error on near-zero
@@ -792,7 +822,8 @@ def teacher_targets(config: DistillLossConfig, t_batch, labels):
     return build(t, config.kd_temperature)
 
 
-def evaluate_loss(config: DistillLossConfig, s_batch, t_batch, labels, targets=None) -> LossResult:
+def evaluate_loss(config: DistillLossConfig, s_batch, t_batch, labels, targets=None, *,
+                  grad: bool = True) -> LossResult:
     """Dispatch a fully-resolved loss config on one batch, or on a stack of
     batches (..., N, C) that share the N x C teacher batch and the labels.
 
@@ -800,7 +831,8 @@ def evaluate_loss(config: DistillLossConfig, s_batch, t_batch, labels, targets=N
     and teacher rows (the gradient is chained through the student's
     transform), ``teacher-only`` z-scores just the teacher.  Every kind that
     reads a teacher may take ``targets``, rows of teacher_targets under this
-    config, in place of ``t_batch``.
+    config, in place of ``t_batch``.  ``grad=False`` skips every gradient,
+    the pull-back through the student's z-score included.
     """
     if targets is not None and not config.needs_teacher:
         raise ValueError(f"loss kind {config.kind!r} takes no teacher targets")
@@ -811,20 +843,20 @@ def evaluate_loss(config: DistillLossConfig, s_batch, t_batch, labels, targets=N
         t = standardize_rows(t)
 
     if config.kind == "ce":
-        res = ce_loss(s_in, labels)
+        res = ce_loss(s_in, labels, grad=grad)
     elif config.kind == "ls":
-        res = ls_loss(s_in, labels, config.ls_epsilon)
+        res = ls_loss(s_in, labels, config.ls_epsilon, grad=grad)
     elif config.kind == "kd":
         res = kd_loss(s_in, t, labels, config.ce_mix, config.kd_temperature, config.divergence,
-                      targets=targets)
+                      targets=targets, grad=grad)
     elif config.kind == "dist":
         res = dist_loss(
             s_in, t, labels, config.ce_mix, config.dist_beta, config.dist_gamma,
-            config.kd_temperature, targets=targets,
+            config.kd_temperature, targets=targets, grad=grad,
         )
     else:  # listmle, plistmle, pld
-        res = pld_loss(s_in, t, labels, **config.pld_args, targets=targets)
+        res = pld_loss(s_in, t, labels, **config.pld_args, targets=targets, grad=grad)
 
-    if config.standardize == "both":
+    if config.standardize == "both" and grad:
         return LossResult(res.loss, _standardize_vjp(s, res.grad), res.rows)
     return res

@@ -264,22 +264,43 @@ class TestDistill:
         parameter x1e155 (logit rows about 2.6e155 wide, whose squares overflow)
         trains a 1-epoch default student as the teacher itself does, to rounding,
         and raises no numpy warning."""
+        (_, loss, top1, _), (_, huge_loss, huge_top1, _) = (
+            rows[0] for rows in self.unit_and_huge_teacher_metrics(tmp_path, standardize, 1))
+        assert float(huge_loss) == pytest.approx(float(loss), rel=1e-7)
+        assert huge_top1 == top1
+
+    @pytest.mark.parametrize("standardize", ["teacher-only", "both"])
+    def test_teacher_kl_compares_the_logits_the_loss_sees(self, tmp_path, standardize):
+        """teacher_kl is taken against the standardized teacher (and, under
+        both, the standardized student), so the huge teacher's run reads the
+        unit-scale run's teacher_kl, where the raw teacher logits would give
+        0.183 and 1.997 at epoch 0 under teacher-only.  The two agree to the
+        eps of the z-score: eps / std moves the unit teacher's z-scores by up
+        to 6e-8 of a row's largest, and each teacher_kl by up to 3e-8 of itself."""
+        unit, huge = self.unit_and_huge_teacher_metrics(tmp_path, standardize, 2)
+        assert len(unit) == len(huge) == 2
+        for row, huge_row in zip(unit, huge):
+            assert float(huge_row[3]) == pytest.approx(float(row[3]), rel=1e-7)
+
+    @staticmethod
+    def unit_and_huge_teacher_metrics(tmp_path, standardize, epochs):
+        """metrics.csv rows of default students of a [16, 10] teacher and of
+        the same teacher x1e155, each run raising no numpy warning."""
         metrics = []
         for scale in (1.0, 1e155):
             teacher = init_mlp([16, 10], make_rng(0))
             teacher.params *= scale
             save_model(teacher, tmp_path / "teacher.json")
             doc = {"teacher": str(tmp_path / "teacher.json"),
-                   "loss": {"standardize": standardize}, "epochs": 1}
+                   "loss": {"standardize": standardize}, "epochs": epochs}
             out = tmp_path / f"o{scale}"
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert run(["distill", "--config", write_config(tmp_path, "c.json", doc),
                             "--out", str(out)]) == EXIT_OK
-            metrics.append((out / "metrics.csv").read_text().splitlines()[1].split(","))
-        (_, loss, top1, _), (_, huge_loss, huge_top1, _) = metrics
-        assert float(huge_loss) == pytest.approx(float(loss), rel=1e-7)
-        assert huge_top1 == top1
+            lines = (out / "metrics.csv").read_text().splitlines()[1:]
+            metrics.append([line.split(",") for line in lines])
+        return metrics
 
     def test_wide_teacher_reverse_kl_is_training_failure(self, tmp_path, capsys):
         """Teacher logits 2e308 apart give a class probability 0, where the

@@ -1,7 +1,7 @@
 """The default verify artifacts, a small training run and the pld kernel
 keep their bytes.
 
-``losscheck`` and ``landscape`` at their default configs must write the
+``gradcheck``, ``losscheck`` and ``landscape`` at their default configs must write the
 bytes recorded below, as must a two-epoch teacher and pld, kd and dist
 student runs, and
 ``pld_loss`` on two seeded 32 x 1000 batches must return them (loss,
@@ -25,6 +25,8 @@ from pldlab.numerics import make_rng
 
 RECORDED_ON = {"numpy": "2.4.6", "simd": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]}
 DIGESTS = {
+    "gradcheck": ("gradcheck.csv",
+                  "6bda5d1c80171cb3ede8dd9ba538c31540c4fce303900b84b5a4632a3abed1ad"),
     "losscheck": ("losscheck.csv",
                   "a5a0717f3be561b6f118f787c795b2872e4165763864db44337554b57b2be0be"),
     "landscape": ("landscape.csv",

@@ -895,6 +895,28 @@ class TestGradCheckHarness:
         assert sizes[0] == s.size and len(sizes) == 1 + 2  # 200 column copies of 800 logits
         assert sum(sizes[1:]) == 2 * 100 * s.size and max(sizes[1:]) <= 1 << 17
 
+    @pytest.mark.parametrize("kernel", ["pld", "coupled dist"])
+    def test_reads_no_gradient_of_a_stack(self, kernel):
+        """A loss_fn whose stack results carry no gradient, as a value-only
+        call returns them, checks to the same error as the full results: the
+        column path reads only rows, the coupled path only losses."""
+        from pldlab.losses import LossResult
+
+        rng = make_rng(62)
+        s, t, y = random_batch(rng, 4, 5)
+        full = (lambda x: pld_loss(x, t, y)) if kernel == "pld" else self.coupled_dist(t, y)
+        stacks = []
+
+        def no_stack_grad(x):
+            res = full(x)
+            if x.ndim == 2:
+                return res
+            stacks.append(x.shape)
+            return LossResult(res.loss, None, res.rows)
+
+        assert grad_check(no_stack_grad, s) == grad_check(full, s) < 1e-6
+        assert stacks
+
     def test_malformed_stack_raises(self):
         from pldlab.losses import LossResult
 
@@ -1211,3 +1233,61 @@ def test_baselines_stay_finite_at_extreme_logits(batch):
         assert np.isfinite(rows[~inf_allowed]).all(), name
         assert np.isfinite(res.grad[~inf_allowed]).all(), name
         assert np.isfinite(res.loss) or inf_allowed.any(), name
+
+
+# (config fields, logit scales) per kernel path; kd's rows near 1e308 wide at tau
+# 1e-3 take forward KL's wide-row value patch
+VALUE_ONLY_PATHS = {
+    "ce": ({"kind": "ce"}, [1.0, 300.0]),
+    "ls": ({"kind": "ls"}, [1.0, 300.0]),
+    **{f"kd {d}": ({"kind": "kd", "divergence": d}, [1.0, 300.0]) for d in DIVERGENCES},
+    **{f"kd {d} wide": ({"kind": "kd", "divergence": d, "standardize": "none",
+                         "kd_temperature": 1e-3}, [4e307])
+       for d in DIVERGENCES},
+    "dist": ({"kind": "dist", "dist_gamma": 0.0}, [1.0, 300.0]),
+    "dist coupled": ({"kind": "dist", "dist_gamma": 0.45}, [1.0, 300.0]),
+    "listmle": ({"kind": "listmle"}, [1.0, 300.0]),
+    "plistmle": ({"kind": "plistmle"}, [1.0, 300.0]),
+    **{f"pld {w}": ({"kind": "pld", "pld_scheme": w}, [1.0, 300.0]) for w in WEIGHT_SCHEMES},
+}
+
+
+@st.composite
+def value_only_cases(draw, path):
+    """A config on ``path`` under any standardize mode, CE weight and kd, dist
+    and pld temperatures (kd and dist down to 1e-3), logits at the path's
+    scales, given targets or a teacher, and a batch or a stack."""
+    fields, scales = VALUE_ONLY_PATHS[path]
+    cfg = default_loss_config(**{
+        "standardize": draw(st.sampled_from(STANDARDIZE_MODES)),
+        "ce_mix": draw(st.sampled_from([0.0, 0.1, 1.0])),
+        "kd_temperature": draw(st.sampled_from([1e-3, 0.5, 1.0, 2.0])),
+        "teacher_temperature": draw(st.sampled_from([0.5, 1.0, 4.0])),
+        **fields,
+    })
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    n, c = max(draw(st.integers(1, 4)), cfg.min_batch_rows), draw(st.integers(2, 8))
+    scale = draw(st.sampled_from(scales))
+    s, t = (rng.uniform(-scale, scale, size=(n, c)) for _ in range(2))
+    if draw(st.booleans()):
+        s = np.stack([s + rng.normal(size=(n, c)) for _ in range(draw(st.integers(1, 3)))])
+    return cfg, s, t, rng.integers(0, c, size=n), draw(st.booleans())
+
+
+@pytest.mark.parametrize("path", sorted(VALUE_ONLY_PATHS))
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_value_only_call_keeps_the_loss_and_rows_bits(path, data):
+    """evaluate_loss with grad=False, and so each kernel it dispatches to,
+    returns the default call's loss and rows bit for bit and no gradient."""
+    cfg, s, t, y, given = data.draw(value_only_cases(path))
+    targets = teacher_targets(cfg, t, y) if given else None
+    full = evaluate_loss(cfg, s, t, y, targets=targets)
+    value = evaluate_loss(cfg, s, t, y, targets=targets, grad=False)
+    assert value.grad is None and full.grad.shape == s.shape
+    assert type(value.loss) is type(full.loss)
+    assert np.asarray(value.loss).tobytes() == np.asarray(full.loss).tobytes()
+    assert (value.rows is None) == (full.rows is None)
+    if full.rows is not None:
+        assert value.rows.shape == full.rows.shape
+        assert value.rows.tobytes() == full.rows.tobytes()
