@@ -244,7 +244,7 @@ def ls_loss(s_batch, labels, epsilon: float, *, grad: bool = True) -> LossResult
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     s, _, y = _inputs(s_batch, None, labels, teacher=False)
     if epsilon == 0.0:
-        return ce_loss(s, y) if grad else ce_loss(s, y, grad=False)
+        return ce_loss(s, y, grad=grad)
     n, c = s.shape[-2:]
     g = np.full(s.shape, -epsilon / c / n) if grad else None  # eps * (onehot - 1/C) / n
     if grad:
@@ -258,8 +258,8 @@ def ls_loss(s_batch, labels, epsilon: float, *, grad: bool = True) -> LossResult
 def _plus_ce(s, y, alpha: float, loss, grad, rows) -> LossResult:
     """alpha * CE plus a soft term's loss, gradient (added to in place, or None) and rows;
     0 skips CE."""
-    if alpha > 0:  # the gradient path calls ce_loss(s, y), the form its stand-ins take
-        hard = ce_loss(s, y) if grad is not None else ce_loss(s, y, grad=False)
+    if alpha > 0:
+        hard = ce_loss(s, y, grad=grad is not None)
         with np.errstate(over="ignore"):  # a soft term beyond the float64 range is +inf
             loss = alpha * hard.loss + loss
             if grad is not None:
@@ -326,7 +326,7 @@ def kd_loss(
 
     logq = log_softmax(s, temperature=tau)  # checks tau, also where D has weight 0
     if alpha == 1.0:
-        return ce_loss(s, y) if grad else ce_loss(s, y, grad=False)
+        return ce_loss(s, y, grad=grad)
 
     dgrad = None
     if divergence == "forward-kl":

@@ -4,9 +4,11 @@ All routines work in 64-bit floats, reject non-finite input at the
 boundary, and are pure functions of their arguments.  Softmax-style
 quantities are always computed after max-subtraction so that logits of
 magnitude around 700 (the float64 exp limit) stay representable.
-A running log-sum-exp row wider than _FAST_LCSE_SPAN is banded (exponents
-floored at _EXP_FLOOR, its low prefix summed by np.logaddexp.accumulate) or,
-when that prefix is over 1/8 of the row, summed whole by that scalar loop.
+A running log-sum-exp row whose finite spread is under 2 * _FAST_LCSE_SPAN
+is summed in linear space, shifted so every term lies in [e^-600, e^600]; a
+wider row is banded (exponents floored at _EXP_FLOOR, its low prefix summed by
+np.logaddexp.accumulate) or, when that prefix is over 1/8 of the row, summed
+whole by that scalar loop.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ __all__ = [
 ]
 
 # Row spread below which exp(x - rowmax) keeps full relative precision in a
-# plain cumulative sum; wider rows are banded or summed sequentially.
+# plain cumulative sum.  A row spread below twice this is shifted by its least
+# finite entry plus this instead; wider rows are banded or summed sequentially.
 _FAST_LCSE_SPAN = 600.0
 # Exponents are floored here before exp on the wide paths: exp of a smaller
 # argument is subnormal or 0, which numpy computes ~200x slower.
@@ -133,8 +136,9 @@ def log_cumsum_exp(v) -> np.ndarray:
 
     Entries equal to -inf are permitted (they contribute nothing); all other
     entries must be finite.  Each prefix is accurate to ~1e-13 relative even
-    when later entries dominate earlier ones by hundreds of nats (a wide row
-    is banded or summed sequentially: see _log_cumsum_exp_rows).
+    when later entries dominate earlier ones by hundreds of nats (a row
+    spreading up to 1200 nats is shifted by its least entry plus 600, a wider
+    one banded or summed sequentially: see _log_cumsum_exp_rows).
     """
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim == 0 or arr.size == 0:
@@ -149,28 +153,34 @@ def _log_cumsum_exp_rows(x: np.ndarray) -> np.ndarray:
 
     A batch with no -inf and every row's spread below _FAST_LCSE_SPAN is
     shifted by the row max and summed in linear space (a sum of positives: full
-    relative precision).  Otherwise a row whose low prefix (its entries before
-    the first within the span of its max) is at most 1/8 of it, or only -inf,
-    is banded: the same sum with exponents floored at _EXP_FLOOR.  From the
-    span on the sum is >= e^-600 and the floored terms add <= C*e^-700, under
-    half an ulp, so a narrow row keeps its bits; the low prefix is summed again
-    by np.logaddexp.accumulate.  Other rows, and rows of all -inf, take
+    relative precision).  Otherwise each row is shifted by its top: its max,
+    or its least finite entry plus _FAST_LCSE_SPAN where that is lower and the
+    finite spread is below twice the span (every term then lies in [e^-600,
+    e^600]).  A row whose low prefix (its entries before the first within the
+    span below its top) is at most 1/8 of it, or only -inf, is banded: the
+    same sum with exponents floored at _EXP_FLOOR.  From the span on the sum
+    is >= e^-600 and the floored terms add <= C*e^-700, under half an ulp, so
+    a narrow row keeps its bits; the low prefix is summed again by
+    np.logaddexp.accumulate.  Other rows, and rows of all -inf, take
     np.logaddexp.accumulate whole: it is exact for any spread.
     """
     m = x.max(axis=1, keepdims=True)
     lo = x.min(axis=1, keepdims=True)
     if lo.min() > -np.inf and ((m - lo) < _FAST_LCSE_SPAN).all():  # NaN fails both
         return np.log(np.cumsum(np.exp(x - m), axis=1)) + m
-    start = np.argmax(x >= m - _FAST_LCSE_SPAN, axis=1)
+    # each row's least finite entry (its min when the batch holds no -inf)
+    fin = lo if lo.min() > -np.inf else np.where(x > -np.inf, x, m).min(axis=1, keepdims=True)
+    top = np.where(m < fin + 2 * _FAST_LCSE_SPAN, np.minimum(m, fin + _FAST_LCSE_SPAN), m)
+    start = np.argmax(x >= top - _FAST_LCSE_SPAN, axis=1)
     seq = 8 * start > x.shape[1]
     if seq.any():  # a low prefix of -inf alone sums to exactly 0 when banded
         seq[seq] = np.argmax(x[seq] > -np.inf, axis=1) < start[seq]
     seq |= np.isneginf(m[:, 0])
     band = np.flatnonzero(~seq)
     z = x[band]  # a copy: the rest runs in place
-    z -= m[band]
+    z -= top[band]
     np.log(np.cumsum(np.exp(np.maximum(z, _EXP_FLOOR, out=z), out=z), axis=1, out=z), out=z)
-    z += m[band]
+    z += top[band]
     k = start[band]
     redo = np.flatnonzero(k)
     if redo.size:  # the low prefixes; a prefix sum reads only the entries before it

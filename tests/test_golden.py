@@ -50,6 +50,7 @@ TRAINING_DIGESTS = {
 KERNEL_DIGESTS = {
     "continuous": "d3adec380b7e6f4b438f80a9acb61000eefcf7dbd88259d6e2de6f2fd73c76ed",
     "tied": "bcb4133070d4bb4cec6f53cbf7e06902bae1c45aa2b8e7129e3ca6bcfb3e7194",
+    "wide": "fe04b5e0fd0232e7ee89a8d4535bcf90862b1a35104554db1d4007020e0940e2",
 }
 
 # the same bytes (rows where the result has them) of the baselines at their other
@@ -105,11 +106,15 @@ def test_small_training_run_keeps_its_bytes(tmp_path):
 @pytest.mark.parametrize("mix", sorted(KERNEL_DIGESTS))
 def test_pld_kernel_keeps_its_bytes(mix):
     """Student and teacher logits standard normal (seed 12); the tied mix puts
-    the teacher on a 0.5 grid, so nearly every row has tied teacher logits."""
+    the teacher on a 0.5 grid, so nearly every row has tied teacher logits, and
+    the wide mix scales the student by 300 (the wide running log-sum-exp routes
+    and the log-space gradient tail)."""
     skip_other_builds()
     s, t, y = _seeded_batch()
     if mix == "tied":
         t = np.round(2.0 * t) / 2.0
+    if mix == "wide":
+        s = 300.0 * s
     assert _result_digest(pld_loss(s, t, y)) == KERNEL_DIGESTS[mix]
 
 

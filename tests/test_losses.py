@@ -1,6 +1,7 @@
 """Loss kernel tests: analytic examples, finite-difference oracles, reductions."""
 
 import dataclasses
+import decimal
 import math
 import warnings
 from unittest import mock
@@ -212,7 +213,7 @@ class TestKnowledgeDistillation:
         and without the intra-class term) at alpha 0 call ce_loss zero times."""
         calls = []
         real = losses.ce_loss
-        monkeypatch.setattr(losses, "ce_loss", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(losses, "ce_loss", lambda *a, **kw: calls.append(a) or real(*a, **kw))
         rng = make_rng(32)
         s, t, y = random_batch(rng, 4, 5)
         s[0] = [1e308, 0.0, -5e307, 1.0, 2.0]
@@ -1184,6 +1185,41 @@ def test_pld_on_wide_rows_matches_oracles(scheme, seed, n, c, tau):
         np.testing.assert_allclose(res.rows, ce.rows, rtol=1e-12, atol=scale)
         assert res.loss == pytest.approx(ce.loss, rel=1e-12, abs=scale)
         np.testing.assert_allclose(res.grad, ce.grad, rtol=0, atol=1e-12)
+
+
+def decimal_pld_gradient(s, pi, w) -> np.ndarray:
+    """One row's gradient in 50-digit decimal arithmetic, by the first-pick-first
+    formula d/ds[pi_k] = exp(s[pi_k]) * sum_{m <= k} w_m / Z_m - w_k, with
+    Z_m = sum_{l >= m} exp(s[pi_l]) summed directly: no log-sum-exp anywhere."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        e = [decimal.Decimal(float(s[j])).exp() for j in pi]
+        z = [sum(e[m:], decimal.Decimal(0)) for m in range(len(e))]
+        acc, grad = decimal.Decimal(0), np.empty(len(e))
+        for k, j in enumerate(pi):
+            acc += decimal.Decimal(float(w[k])) / z[k]
+            grad[j] = float(e[k] * acc - decimal.Decimal(float(w[k])))
+    return grad
+
+
+@pytest.mark.parametrize("c", [8, 16, 32, 64])
+def test_pld_gradient_on_wide_rows_matches_decimal_reference(c):
+    """Student rows x300 (the banded, shifted and sequential running log-sum-exp
+    and the log-space tail): pld_loss's gradient rows and the closed form within
+    1e-12 of each row's largest entry of a 50-digit reference, which takes no
+    log-sum-exp."""
+    rng = make_rng(240 + c)
+    n = 3
+    s, t = 300.0 * rng.normal(size=(n, c)), rng.normal(size=(n, c))
+    y = rng.integers(0, c, size=n)
+    res = pld_loss(s, t, y)
+    for i in range(n):
+        pi = teacher_optimal_permutation(t[i], y[i])
+        w = make_weights(t[i], pi, "teacher-softmax", 1.0)
+        ref = decimal_pld_gradient(s[i], pi, w)
+        bound = 1e-12 * np.abs(ref).max()
+        assert np.abs(res.grad[i] * n - ref).max() <= bound
+        assert np.abs(pld_gradient_closed_form(s[i], pi, w) - ref).max() <= bound
 
 BASELINE_KERNELS = {
     **{f"kd {d}": lambda s, t, y, tau, d=d: kd_loss(s, t, y, tau=tau, divergence=d)

@@ -183,7 +183,7 @@ class TestLogCumsumExp:
             log_cumsum_exp(np.float64(1.0))
 
 
-ROW_KINDS = ("narrow", "wide", "some -inf", "all -inf", "banded", "ladder", "huge")
+ROW_KINDS = ("narrow", "wide", "mid", "some -inf", "all -inf", "banded", "ladder", "huge")
 
 
 @st.composite
@@ -207,12 +207,33 @@ def banded_row(draw, c):
 
 
 @st.composite
+def mid_row(draw, c, shift):
+    """c entries whose finite spread lies in [_FAST_LCSE_SPAN, 2 * _FAST_LCSE_SPAN)
+    (c > 1): a least entry at ``shift`` and a largest one spread above it, in
+    drawn places, the rest between them, maybe some (or a leading run) -inf."""
+    spread = draw(st.floats(_FAST_LCSE_SPAN, 1.99 * _FAST_LCSE_SPAN))
+    row = shift + np.array(draw(st.lists(st.floats(0.0, spread), min_size=c, max_size=c)))
+    if c == 1:
+        return row
+    ends = draw(st.lists(st.integers(0, c - 1), min_size=2, max_size=2, unique=True))
+    row[ends] = shift, shift + spread
+    if draw(st.booleans()):
+        lead = draw(st.integers(0, min(ends)))
+        dead = np.array(draw(st.lists(st.booleans(), min_size=c, max_size=c)))
+        dead[:lead] = True
+        dead[ends] = False
+        row[dead] = -np.inf
+    return row
+
+
+@st.composite
 def lcse_rows(draw, kinds):
     """A batch of rows, each of a kind drawn from ``kinds``: narrow (finite
     spread below _FAST_LCSE_SPAN), wide (spread at least that), either with
-    some -inf entries (maybe a leading run of them), all -inf, banded (see
-    banded_row), a ladder of steps of 600 to 1000 nats up or down, or huge
-    (entries up to 1e300 apart)."""
+    some -inf entries (maybe a leading run of them), mid (finite spread in
+    [_FAST_LCSE_SPAN, 2 * _FAST_LCSE_SPAN), maybe with -inf entries), all -inf,
+    banded (see banded_row), a ladder of steps of 600 to 1000 nats up or down,
+    or huge (entries up to 1e300 apart)."""
     c = draw(st.just(64) | st.integers(1, 64))
     rows = []
     for _ in range(draw(st.integers(1, 4))):
@@ -230,6 +251,9 @@ def lcse_rows(draw, kinds):
             continue
         if kind == "huge":
             rows.append(np.array(draw(st.lists(st.floats(-1e300, 1e300), min_size=c, max_size=c))))
+            continue
+        if kind == "mid":
+            rows.append(draw(mid_row(c, shift)))
             continue
         width = (0.45 if kind == "narrow" or c == 1 else 3.0) * _FAST_LCSE_SPAN
         row = shift + np.array(
@@ -250,7 +274,8 @@ def lcse_rows(draw, kinds):
 @settings(max_examples=20, derandomize=True, deadline=None)
 @pytest.mark.parametrize("kinds", [("narrow",), ("wide",), ("narrow", "wide"), ("some -inf",),
                                    ("all -inf",), ROW_KINDS, ("banded",), ("ladder",), ("huge",),
-                                   ("banded", "ladder", "narrow")])
+                                   ("banded", "ladder", "narrow"), ("mid",),
+                                   ("mid", "ladder", "some -inf")])
 @given(data=st.data())
 def test_log_cumsum_exp_rows_properties(kinds, data):
     """Each route against np.logaddexp.accumulate and the per-prefix oracle:
@@ -473,7 +498,7 @@ def test_low_prefix_takes_the_route_of_its_own_length():
     2000 nats further down.  Each row still equals its one-row call bit for
     bit."""
     rng = make_rng(8)
-    rows = [np.r_[-1000.0 + rng.uniform(-50.0, 0.0, 8), rng.uniform(-300.0, 0.0, 56)]]
+    rows = [np.r_[-1500.0 + rng.uniform(-50.0, 0.0, 8), rng.uniform(-300.0, 0.0, 56)]]
     rows += [np.r_[-3000.0, -1000.0 + rng.uniform(-50.0, 0.0, 3), rng.uniform(-300.0, 0.0, 60)]
              for _ in range(30)]
     x = np.array(rows)
@@ -492,13 +517,34 @@ def test_banded_low_prefix_is_summed_by_logaddexp():
     for k in (1, c // 16, c // 8):
         for width in (50.0, 1500.0):
             for _ in range(3):
-                rows.append(np.r_[-1000.0 + rng.uniform(-width, 0.0, k),
+                rows.append(np.r_[-1500.0 + rng.uniform(-width, 0.0, k),
                                   rng.uniform(-300.0, 0.0, c - k)])
                 lengths.append(k)
     x = np.array(rows)
     out = _log_cumsum_exp_rows(x)
     for row, got, k in zip(x, out, lengths):
         assert got[:k].tobytes() == np.logaddexp.accumulate(row[:k]).tobytes()
+
+
+def test_mid_row_is_summed_linearly_above_its_least_entry():
+    """A row whose finite spread lies in [_FAST_LCSE_SPAN, 2 * _FAST_LCSE_SPAN)
+    is shifted by its least entry plus the span, so every term lies in
+    [e^-600, e^600], and summed by the plain linear formula.  It keeps those
+    bytes behind a run of -inf and batched with a ladder row, without a warning."""
+    rng = make_rng(24)
+    row = rng.uniform(-500.0, 450.0, 200)
+    row[[7, 120]] = -500.0, 450.0  # spread 950
+    top = row.min() + _FAST_LCSE_SPAN
+    alone = _log_cumsum_exp_rows(row[None])[0]
+    assert alone.tobytes() == (np.log(np.cumsum(np.exp(row - top))) + top).tobytes()
+    ladder = np.cumsum(rng.uniform(_FAST_LCSE_SPAN, 1000.0, 200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        padded = _log_cumsum_exp_rows(np.r_[np.full(40, -np.inf), row][None])[0]
+        batched = _log_cumsum_exp_rows(np.array([ladder, row, ladder[::-1]]))
+    assert np.isneginf(padded[:40]).all()
+    assert padded[40:].tobytes() == alone.tobytes()
+    assert batched[1].tobytes() == alone.tobytes()
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
