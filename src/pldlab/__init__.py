@@ -46,7 +46,6 @@ from .losses import (
     make_weights,
     pld_gradient_closed_form,
     pld_loss,
-    pld_targets,
     standardize_rows,
     student_teacher_kl,
     teacher_targets,
@@ -78,7 +77,6 @@ __all__ = [
     "make_weights",
     "pld_gradient_closed_form",
     "pld_loss",
-    "pld_targets",
     "standardize_rows",
     "student_teacher_kl",
     "teacher_targets",

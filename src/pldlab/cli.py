@@ -70,14 +70,15 @@ class VerificationFailure(RuntimeError):
     """A check suite ran to completion and found violations."""
 
 
-# The loss, optimizer and landscape blocks are their library dataclasses' fields,
-# and the dataset block is make_blobs's defaults plus label noise.  The rest is set
-# here: the losscheck, gradcheck and bench blocks, seeds, layer_sizes, batch_size
-# and epochs (train-teacher runs 20 where train_teacher's signature says 40).
-_DATASET_DEFAULTS = {
-    name: p.default for name, p in inspect.signature(make_blobs).parameters.items()
-}
-_DATASET_DEFAULTS["noise_rate"] = 0.1
+def _signature_defaults(fn) -> dict:
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+
+
+# The loss, optimizer and landscape blocks are their library dataclasses' fields, the
+# dataset block is make_blobs's defaults plus label noise, and the bench block is
+# bench_losses's over five sizes.  The rest is set here: the losscheck and gradcheck
+# blocks, seeds, layer_sizes, batch_size and epochs (train-teacher runs 20, not 40).
+_DATASET_DEFAULTS = {**_signature_defaults(make_blobs), "noise_rate": 0.1}
 
 # The JSON round trip copies each block and turns tuples into lists, as a
 # config file would give them.
@@ -118,11 +119,8 @@ _DEFAULTS = json.loads(json.dumps({
     },
     "landscape": dataclasses.asdict(SliceSpec()),
     "bench": {
-        "seed": 0,
+        **_signature_defaults(bench_losses),
         "sizes": [[256, 128], [256, 256], [256, 512], [256, 1024], [256, 1000]],
-        "kinds": ["ce", "kd", "dist", "pld"],
-        "trials": 11,
-        "warmup": 3,
     },
 }))
 

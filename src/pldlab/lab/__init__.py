@@ -12,7 +12,6 @@ from .model import (
     load_model,
     model_from_dict,
     model_to_dict,
-    save_model,
 )
 from .optim import OptimizerConfig, OptimizerState, init_optimizer, step_optimizer
 from .train import (
@@ -39,7 +38,6 @@ __all__ = [
     "load_model",
     "model_from_dict",
     "model_to_dict",
-    "save_model",
     "OptimizerConfig",
     "OptimizerState",
     "init_optimizer",

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io import atomic_write_text
-
 __all__ = [
     "MlpModel",
     "init_mlp",
@@ -33,7 +31,6 @@ __all__ = [
     "backward",
     "model_to_dict",
     "model_from_dict",
-    "save_model",
     "load_model",
     "MODEL_FORMAT_VERSION",
 ]
@@ -187,10 +184,6 @@ def model_from_dict(doc: dict) -> MlpModel:
     if not np.isfinite(model.params).all():
         raise ValueError("model parameters contain non-finite values")
     return model
-
-
-def save_model(model: MlpModel, path) -> None:
-    atomic_write_text(path, json.dumps(model_to_dict(model)))
 
 
 def load_model(path) -> MlpModel:

@@ -64,7 +64,6 @@ __all__ = [
     "kd_loss",
     "dist_loss",
     "make_weights",
-    "pld_targets",
     "teacher_targets",
     "pld_loss",
     "pld_gradient_closed_form",
@@ -324,9 +323,9 @@ def kd_loss(
         logp, p = _given_targets(targets, 2 * [s.shape[-2:]], "kd")
     n = s.shape[-2]
 
-    logq = log_softmax(s, temperature=tau)  # checks tau, also where D has weight 0
     if alpha == 1.0:
         return ce_loss(s, y, grad=grad)
+    logq = log_softmax(s, temperature=tau)
 
     dgrad = None
     if divergence == "forward-kl":
@@ -530,16 +529,6 @@ def _ascending_weights(t: np.ndarray, asc: np.ndarray, scheme: str, tau_T: float
     raise ValueError(f"unknown weight scheme {scheme!r}")
 
 
-def pld_targets(t_batch, labels, tau_T: float = 1.0, scheme: str = "teacher-softmax"):
-    """Teacher side of pld_loss as N x C (order, weights): per row the teacher-optimal
-    ranking reversed (label last) and its weights.  Rows gathered from them by index are
-    the ``targets`` of pld_loss and evaluate_loss for those rows, with the same bits."""
-    if not tau_T > 0:
-        raise ValueError(f"tau_T must be positive, got {tau_T}")
-    t = as_finite_matrix(t_batch, "teacher logits")
-    return _pld_targets(t, as_labels(labels, t.shape[1], t.shape[0]), tau_T, scheme)
-
-
 def _pld_targets(t, y, tau_T, scheme):
     asc = ascending_rankings(t, y)
     return asc, _ascending_weights(t, asc, scheme, tau_T)
@@ -561,8 +550,8 @@ def pld_loss(
     - s[pi*_k]] where pi* puts the true label first and the remaining
     classes in descending teacher-logit order.  The student logits enter
     unsoftened; ``tau_T`` only reshapes the teacher-softmax weights.
-    Given ``targets`` (pld_targets of these rows, N x C, shared by every batch
-    of a stack), t_batch, labels, tau_T and scheme are unread.
+    Given ``targets`` (teacher_targets rows: order and weights, N x C, shared by
+    every batch of a stack), t_batch, labels, tau_T and scheme are unread.
 
     Evaluation sorts each row ascending (label last) and takes one running
     log-sum-exp, so prefix j of the sorted row is exactly the suffix term
@@ -763,8 +752,8 @@ def grad_check(loss_fn, s0, h: float = 1e-5, floor: float = 1e-8) -> float:
     if not floor >= 0:
         raise ValueError(f"floor must be nonnegative, got {floor}")
     s0 = np.asarray(s0, dtype=np.float64)
-    if s0.ndim < 2:
-        raise ValueError(f"grad_check needs an N x C batch, got shape {s0.shape}")
+    if s0.ndim < 2 or s0.size == 0:
+        raise ValueError(f"grad_check needs a nonempty N x C batch, got shape {s0.shape}")
     base = loss_fn(s0)
     analytic = base.grad
     by_column = base.rows is not None and s0.ndim == 2
@@ -807,17 +796,19 @@ def student_teacher_kl(s_batch, t_batch) -> float:
 
 def teacher_targets(config: DistillLossConfig, t_batch, labels):
     """The teacher side of evaluate_loss under ``config`` for N x C teacher
-    logits, standardized as ``config`` says: pld_targets (order, weights) for
-    the ranking kinds, tempered (log p, p) for kd, and for dist the tempered
-    p, its rows centred and their squared norms (N x 1); None for ce and ls.
-    Rows gathered by index from every array are the ``targets`` of
-    evaluate_loss for those rows, with the bits of the plain call."""
+    logits, standardized as ``config`` says.  For the ranking kinds it is
+    (order, weights): per row the teacher-optimal ranking reversed (label
+    last) and its weights under ``config.pld_args``.  For kd it is the
+    tempered (log p, p), and for dist the tempered p, its rows centred and
+    their squared norms (N x 1); None for ce and ls.  Rows gathered by index
+    from every array are the ``targets`` of evaluate_loss for those rows,
+    and of the kind's kernel, with the bits of the plain call."""
     if not config.needs_teacher:
         return None
     t = t_batch if config.standardize == "none" else standardize_rows(t_batch)
-    if config.pld_args is not None:
-        return pld_targets(t, labels, **config.pld_args)
     t = as_finite_matrix(t, "teacher logits")
+    if config.pld_args is not None:
+        return _pld_targets(t, as_labels(labels, t.shape[1], t.shape[0]), **config.pld_args)
     build = _kd_targets if config.kind == "kd" else _dist_targets
     return build(t, config.kd_temperature)
 

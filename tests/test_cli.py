@@ -19,7 +19,7 @@ from pldlab.cli import (
     EXIT_VERIFICATION,
     main,
 )
-from pldlab.lab import MlpModel, init_mlp, save_model
+from pldlab.lab import MlpModel, init_mlp, model_to_dict
 from pldlab.numerics import make_rng
 
 TINY_DATASET = {
@@ -31,6 +31,10 @@ TINY_DATASET = {
     "noise_rate": 0.1,
     "seed": 0,
 }
+
+
+def write_model(model, path):
+    path.write_text(json.dumps(model_to_dict(model)))
 
 
 def write_config(tmp_path, name, doc):
@@ -290,7 +294,7 @@ class TestDistill:
         for scale in (1.0, 1e155):
             teacher = init_mlp([16, 10], make_rng(0))
             teacher.params *= scale
-            save_model(teacher, tmp_path / "teacher.json")
+            write_model(teacher, tmp_path / "teacher.json")
             doc = {"teacher": str(tmp_path / "teacher.json"),
                    "loss": {"standardize": standardize}, "epochs": epochs}
             out = tmp_path / f"o{scale}"
@@ -308,7 +312,7 @@ class TestDistill:
         a model, and no numpy warning reaches stderr."""
         teacher = MlpModel(layer_sizes=(4, 4), weights=[np.zeros((4, 4))],
                            biases=[np.array([1e308, -1e308, 0.0, 0.0])])
-        save_model(teacher, tmp_path / "teacher.json")
+        write_model(teacher, tmp_path / "teacher.json")
         doc = self.distill_doc(tmp_path, kind="kd", divergence="reverse-kl", kd_temperature=1.0)
         cfg = write_config(tmp_path, "c.json", doc)
         out = tmp_path / "o"
@@ -325,7 +329,7 @@ class TestDistill:
         message on stderr."""
         teacher = MlpModel(layer_sizes=(4, 4), weights=[np.zeros((4, 4))],
                            biases=[np.array([1e308, -1e308, 0.0, 0.0])])
-        save_model(teacher, tmp_path / "teacher.json")
+        write_model(teacher, tmp_path / "teacher.json")
         doc = self.distill_doc(tmp_path, kind="kd", divergence="reverse-kl")
         cfg = write_config(tmp_path, "c.json", doc)
         out = tmp_path / "o"
@@ -555,7 +559,7 @@ DEFAULT_ECHOES = {
 @pytest.mark.parametrize("command", sorted(DEFAULT_ECHOES))
 def test_default_config_echo_is_pinned(tmp_path, monkeypatch, command):
     """The echo of every default config, byte for byte; the run step is skipped."""
-    save_model(init_mlp([16, 10], make_rng(0)), tmp_path / "teacher.json")
+    write_model(init_mlp([16, 10], make_rng(0)), tmp_path / "teacher.json")
     monkeypatch.chdir(tmp_path)
     args_step, _ = cli._COMMANDS[command]
     monkeypatch.setitem(cli._COMMANDS, command, (args_step, lambda **kw: ({}, None)))
@@ -622,7 +626,7 @@ def fuzzed_configs(draw):
 def tiny_teacher(tmp_path_factory):
     """A [16, 10] teacher for the default distill dataset."""
     path = tmp_path_factory.mktemp("fuzz") / "teacher.json"
-    save_model(init_mlp([16, 10], make_rng(0)), path)
+    write_model(init_mlp([16, 10], make_rng(0)), path)
     return str(path)
 
 

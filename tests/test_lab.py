@@ -30,7 +30,6 @@ from pldlab.lab import (
     metrics_to_csv,
     model_from_dict,
     model_to_dict,
-    save_model,
     step_optimizer,
     train_teacher,
 )
@@ -38,6 +37,10 @@ from pldlab.losses import STANDARDIZE_MODES, default_loss_config, standardize_ro
 from pldlab.numerics import make_rng
 
 SMALL = dict(n_classes=4, dim=4, train_per_class=40, test_per_class=20)
+
+
+def write_model(model, path):
+    path.write_text(json.dumps(model_to_dict(model)))
 
 
 class TestMakeBlobs:
@@ -175,7 +178,7 @@ class TestSerialization:
         rng = make_rng(66)
         model = init_mlp([6, 9, 3], rng)
         path = tmp_path / "model.json"
-        save_model(model, path)
+        write_model(model, path)
         loaded = load_model(path)
         assert loaded.layer_sizes == model.layer_sizes
         for a, b in zip(loaded.weights, model.weights):
@@ -205,7 +208,7 @@ class TestSerialization:
     def test_document_shape(self, tmp_path):
         model = init_mlp([3, 4, 2], make_rng(68))
         path = tmp_path / "m.json"
-        save_model(model, path)
+        write_model(model, path)
         doc = json.loads(path.read_text())
         assert doc["format_version"] == 1
         assert doc["layer_sizes"] == [3, 4, 2]
@@ -442,14 +445,14 @@ def test_ranking_targets_come_from_the_standardized_teacher(
     teacher logits as the config standardizes them, under the config's
     temperature and scheme."""
     ds, teacher = small_setup
-    real = losses.pld_targets  # teacher_targets looks it up here
+    real = losses._pld_targets  # teacher_targets looks it up here
     calls = []
 
     def spy(t, labels, **kwargs):
         calls.append((t.copy(), labels, kwargs))
         return real(t, labels, **kwargs)
 
-    monkeypatch.setattr(losses, "pld_targets", spy)
+    monkeypatch.setattr(losses, "_pld_targets", spy)
     cfg = default_loss_config(kind, standardize=standardize, teacher_temperature=0.5)
     distill_student(ds, teacher, [4, 8, 4], cfg, epochs=2, seed=0, batch_size=32)
     t = forward(teacher, ds.train_features)
@@ -612,8 +615,8 @@ def test_layers_are_views_of_the_flat_vector(tmp_path):
     model.weights[1][0, 0] = 7.0
     assert 7.0 in model.params
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    save_model(model, first)
+    write_model(model, first)
     loaded = load_model(first)
-    save_model(loaded, second)
+    write_model(loaded, second)
     assert first.read_bytes() == second.read_bytes()
     assert all(np.shares_memory(p, loaded.params) for p in loaded.weights + loaded.biases)

@@ -28,7 +28,6 @@ from pldlab.losses import (
     make_weights,
     pld_gradient_closed_form,
     pld_loss,
-    pld_targets,
     standardize_rows,
     student_teacher_kl,
     teacher_targets,
@@ -190,23 +189,33 @@ class TestKnowledgeDistillation:
             assert err < 1e-6, alpha
 
     @pytest.mark.parametrize("divergence", DIVERGENCES)
-    def test_ce_weight_one_is_ce_bit_for_bit(self, divergence):
+    def test_ce_weight_one_is_ce_bit_for_bit(self, divergence, monkeypatch):
         """At alpha 1 the divergence is not evaluated, so kd gives ce_loss's
         loss, gradient and rows, without a warning, also on rows whose
         divergence is +inf: reverse KL against a teacher class of probability
-        0, and forward KL on a student row about 1e308 wide at tau 0.5."""
+        0, and forward KL on a student row about 1e308 wide at tau 0.5.  With
+        the teacher given as targets, the only log-softmax taken is ce's."""
         rng = make_rng(31)
         s, t, y = random_batch(rng, 4, 3)
         s[1], t[1] = [0.0, 0.0, 0.0], [0.0, 0.0, -1e308]
         s[2], t[2] = [1e308, 0.0, -1e308 + 1e307], [0.0, 0.0, 0.0]
+        targets = teacher_targets(default_loss_config("kd", kd_temperature=0.5), t, y)
+        calls = []
+        real = losses.log_softmax
+        monkeypatch.setattr(losses, "log_softmax",
+                            lambda *a, **kw: calls.append(kw) or real(*a, **kw))
         for batch in (s, np.stack([s, -s])):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                res = kd_loss(batch, t, y, alpha=1.0, tau=0.5, divergence=divergence)
-            ce = ce_loss(batch, y)
-            for got, want in zip((res.loss, res.grad, res.rows), (ce.loss, ce.grad, ce.rows)):
-                assert type(got) is type(want)
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            for t_in, kw in ((t, {}), (None, {"targets": targets})):
+                calls.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    res = kd_loss(batch, t_in, y, alpha=1.0, tau=0.5, divergence=divergence, **kw)
+                if kw:
+                    assert calls == [{}]
+                ce = ce_loss(batch, y)
+                for got, want in zip((res.loss, res.grad, res.rows), (ce.loss, ce.grad, ce.rows)):
+                    assert type(got) is type(want)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_ce_weight_zero_never_evaluates_ce(self, monkeypatch):
         """kd (every divergence, the wide forward-KL rows included) and dist (with
@@ -468,7 +477,8 @@ class TestPldLoss:
         labels = rng.integers(0, 2048, 60)
         idx = rng.permutation(60)[:40]
         s = 30.0 * rng.normal(size=(40, 2048))
-        order, weights = pld_targets(table, labels, 0.5, scheme)
+        cfg = default_loss_config("pld", teacher_temperature=0.5, pld_scheme=scheme)
+        order, weights = teacher_targets(cfg, table, labels)
         res = pld_loss(s, None, None, targets=(order[idx], weights[idx]))
         ref = pld_loss(s, table[idx], labels[idx], 0.5, scheme)
         assert np.float64(res.loss).tobytes() == np.float64(ref.loss).tobytes()
@@ -497,7 +507,7 @@ class TestPldLoss:
                               targets=teacher_targets(default_loss_config("kd"), [[0.0, 1.0]], [0]))
 
     def test_targets_shape_checked(self):
-        order, weights = pld_targets([[0.0, 1.0, 2.0]], [0])
+        order, weights = teacher_targets(default_loss_config("pld"), [[0.0, 1.0, 2.0]], [0])
         with pytest.raises(ValueError, match="targets"):
             pld_loss([[0.0, 1.0]], None, None, targets=(order, weights))
         with pytest.raises(ValueError, match="targets"):
@@ -777,6 +787,22 @@ class TestGradCheckHarness:
     def test_rejects_zero_step(self):
         with pytest.raises(ValueError):
             grad_check(lambda x: ce_loss(x, [0]), np.zeros((1, 3)), h=0.0)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    def test_rejects_an_empty_batch(self, shape):
+        """An empty batch is a ValueError before the loss is called, not a
+        division by its size."""
+        from pldlab.losses import LossResult
+
+        calls = []
+
+        def loss(x):
+            calls.append(1)
+            return LossResult(float(x.sum()), np.ones(x.shape), np.zeros(x.shape[0]))
+
+        with pytest.raises(ValueError, match="nonempty"):
+            grad_check(loss, np.zeros(shape))
+        assert calls == []
 
     def test_flags_a_wrong_gradient(self):
         from pldlab.losses import LossResult
@@ -1076,8 +1102,7 @@ def test_evaluate_loss_rejects_malformed_input(kind, standardize, targets):
     cfg = default_loss_config(kind, standardize=standardize)
     kw = {}
     if targets:
-        t_in = t if standardize == "none" else standardize_rows(t)
-        kw = {"targets": pld_targets(t_in, y, **cfg.pld_args)}
+        kw = {"targets": teacher_targets(cfg, t, y)}
     reads = {"s"}
     if not targets:
         reads |= {"y", "t"} if cfg.needs_teacher else {"y"}

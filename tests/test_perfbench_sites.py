@@ -5,6 +5,7 @@ runs, so every name the trace looks up is checked here, and a tiny teacher
 run and distill run go through the installed trace.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 @pytest.fixture
@@ -77,3 +79,43 @@ def test_traced_training_runs_and_nests(tracing):
         assert tracer.edges[(kernel, soft)] > 0
     parents = {p for p, c in tracer.edges if c == "lab.model.forward_trace"}
     assert parents == {"lab.model.forward"}
+
+
+def _dotted(node):
+    """``a.b.c`` of an attribute chain on a plain name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def _resolves(dotted):
+    """Whether each part of ``pldlab.x.y`` is an attribute or a submodule of the one before."""
+    obj, path = importlib.import_module("pldlab"), "pldlab"
+    for part in dotted.split(".")[1:]:
+        path += "." + part
+        if not hasattr(obj, part):
+            try:
+                importlib.import_module(path)
+            except ImportError:
+                return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_package_name_the_benchmark_reads_resolves():
+    """Every ``pldlab.<name>`` chain the benchmark's code reads, imports
+    included, so a removed public function cannot break a workload."""
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names.add(_dotted(node))
+            elif isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    names = {n for n in names if n is not None and n.startswith("pldlab.")}
+    assert names
+    assert sorted(n for n in names if not _resolves(n)) == []

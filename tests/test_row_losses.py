@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pldlab.losses import (
+    _pld_targets,
     DIVERGENCES,
     STANDARDIZE_MODES,
     WEIGHT_SCHEMES,
@@ -15,7 +16,6 @@ from pldlab.losses import (
     evaluate_loss,
     kd_loss,
     pld_loss,
-    pld_targets,
     standardize_rows,
     teacher_targets,
 )
@@ -132,7 +132,7 @@ def test_targets_path_equals_plain_path(batch, case, standardize, tiny_tau, extr
     if cfg.pld_args is not None:
         ranked = table if standardize == "none" else standardize_rows(table)
         assert all(a.tobytes() == b[idx].tobytes()
-                   for a, b in zip(targets, pld_targets(ranked, labels, **cfg.pld_args)))
+                   for a, b in zip(targets, _pld_targets(ranked, labels, **cfg.pld_args)))
     for s_k in (s, s + 1500.0):
         same_bits(evaluate_loss(cfg, s_k, None, y, targets=targets), evaluate_loss(cfg, s_k, t, y))
         if standardize != "none":
