@@ -195,10 +195,11 @@ def _echo_config(command: str, config: dict, out_dir: str) -> None:
 
 
 def _build(factory, doc: dict, what: str):
-    """``factory(**doc)``; a ValueError is a config error."""
+    """``factory(**doc)``; a ValueError, or an OverflowError from a size beyond
+    C's integers, is a config error."""
     try:
         return factory(**doc)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid {what} config: {exc}") from exc
 
 
@@ -532,9 +533,9 @@ def main(argv=None) -> int:
             _echo_config(args.command, config, args.out)
             raise
         except ValueError as exc:
-            if "array is too big" not in str(exc):
+            if not str(exc).startswith(("array is too big", "Maximum allowed")):
                 raise
-            raise MemoryError(exc) from exc  # beyond numpy's largest array
+            raise MemoryError(exc) from exc  # numpy refused a size beyond its largest array
         _echo_config(args.command, config, args.out)
         for name, text in artifacts.items():
             atomic_write_text(os.path.join(args.out, name), text)

@@ -9,7 +9,7 @@ run immediately rather than writing poisoned metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class EpochRecord:
 class DistillRun:
     records: list
     model: MlpModel
-    step_losses: list = field(default_factory=list)
+    step_losses: list
 
 
 def _top1(logits, labels) -> float:
@@ -62,17 +62,13 @@ def accuracy(model: MlpModel, features, labels) -> float:
     return _top1(forward(model, features), labels)
 
 
-def _run_epochs(
-    dataset: SyntheticDataset,
-    model: MlpModel,
-    loss_fn,
-    opt_cfg: OptimizerConfig,
-    epochs: int,
-    batch_size: int,
-    rng: np.random.Generator,
-    teacher_test: np.ndarray | None,
-    standardize_student: bool = False,
-):
+def _run_epochs(dataset: SyntheticDataset, layer_sizes, loss_fn, opt_cfg: OptimizerConfig | None,
+                epochs: int, seed: int, batch_size: int, teacher_kl=None) -> DistillRun:
+    """Train a freshly seeded model.  ``teacher_kl`` maps each epoch's test
+    logits to its ``teacher_kl`` column; None leaves the column empty."""
+    opt_cfg = opt_cfg or OptimizerConfig()
+    rng = make_rng(seed)
+    model = init_mlp(layer_sizes, rng)
     n = dataset.train_features.shape[0]
     grad = np.empty_like(model.params)
     state = init_optimizer(model.params)
@@ -102,17 +98,15 @@ def _run_epochs(
             test_logits = forward(model, dataset.test_features)
         if not np.isfinite(test_logits).all():
             raise TrainingFailure(f"non-finite test logits at epoch {epoch}")
-        seen = standardize_rows(test_logits) if standardize_student else test_logits
-        kl = None if teacher_test is None else student_teacher_kl(seen, teacher_test)
         records.append(
             EpochRecord(
                 epoch=epoch,
                 train_loss=float(np.mean(step_losses[first:])),
                 test_top1=_top1(test_logits, dataset.test_labels),
-                teacher_kl=kl,
+                teacher_kl=None if teacher_kl is None else teacher_kl(test_logits),
             )
         )
-    return records, step_losses
+    return DistillRun(records=records, model=model, step_losses=step_losses)
 
 
 def train_teacher(
@@ -124,21 +118,16 @@ def train_teacher(
     batch_size: int = 128,
 ):
     """Cross-entropy training from scratch; returns (model, epoch records)."""
-    opt_cfg = opt_cfg or OptimizerConfig()
     if int(layer_sizes[-1]) != dataset.n_classes:
         raise ValueError(
             f"output width {layer_sizes[-1]} != {dataset.n_classes} classes"
         )
-    rng = make_rng(seed)
-    model = init_mlp(layer_sizes, rng)
 
     def loss_fn(logits, idx, yb):
         return ce_loss(logits, yb)
 
-    records, _ = _run_epochs(
-        dataset, model, loss_fn, opt_cfg, epochs, batch_size, rng, teacher_test=None
-    )
-    return model, records
+    run = _run_epochs(dataset, layer_sizes, loss_fn, opt_cfg, epochs, seed, batch_size)
+    return run.model, run.records
 
 
 def _teacher_logits(teacher: MlpModel, x, block: int) -> np.ndarray:
@@ -163,14 +152,11 @@ def distill_student(
 ) -> DistillRun:
     """Train a student under any configured objective against a frozen
     teacher, whose logits and loss targets are computed once per run."""
-    opt_cfg = opt_cfg or OptimizerConfig()
     check_distill(dataset, teacher, layer_sizes, loss_cfg, batch_size)
-    rng = make_rng(seed)
-    model = init_mlp(layer_sizes, rng)
-
     test_t = _teacher_logits(teacher, dataset.test_features, len(dataset.test_features))
     if loss_cfg.standardize != "none":  # teacher_kl compares the logits the loss sees
         test_t = standardize_rows(test_t)
+    both = loss_cfg.standardize == "both"
     train_t = None
     if loss_cfg.needs_teacher:
         train_t = _teacher_logits(teacher, dataset.train_features, batch_size)
@@ -180,11 +166,12 @@ def distill_student(
         batch = None if targets is None else [a[idx] for a in targets]
         return evaluate_loss(loss_cfg, logits, None, yb, targets=batch)
 
-    records, step_losses = _run_epochs(
-        dataset, model, loss_fn, opt_cfg, epochs, batch_size, rng, teacher_test=test_t,
-        standardize_student=loss_cfg.standardize == "both",
+    def teacher_kl(test_logits):
+        return student_teacher_kl(standardize_rows(test_logits) if both else test_logits, test_t)
+
+    return _run_epochs(
+        dataset, layer_sizes, loss_fn, opt_cfg, epochs, seed, batch_size, teacher_kl
     )
-    return DistillRun(records=records, model=model, step_losses=step_losses)
 
 
 def check_distill(

@@ -144,6 +144,8 @@ def make_slice(spec: SliceSpec) -> SliceGrid:
     rng = make_rng(spec.seed)
     t, d1, d2 = _draw_directions(rng, spec.n_classes)
     half = spec.span * float(np.linalg.norm(t))  # == span: t has unit norm
+    if spec.resolution >= 2**60:  # 2**63 bytes; near 2**63 np.linspace raises IndexError
+        raise MemoryError(f"resolution {spec.resolution} is beyond numpy's largest array")
     coords = np.linspace(-half, half, spec.resolution)
     y = int(np.argmax(t))
     # point (i, j) is (t + a_i*d1) + b_j*d2, summed in that order

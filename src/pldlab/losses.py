@@ -45,7 +45,6 @@ from .numerics import (
     as_finite_matrix,
     as_finite_vector,
     as_labels,
-    log_cumsum_exp,
     log_softmax,
     softmax,
 )
@@ -664,6 +663,8 @@ def pld_gradient_closed_form(s, pi, alpha) -> np.ndarray:
     Direct evaluation in the first-pick-first convention: one reversed
     running log-sum-exp for the suffix normalizers Z_k, one forward running
     sum of alpha_k / Z_k, then d/ds_i = exp(s_i) * A_rank(i) - alpha_rank(i).
+    Both running sums are np.logaddexp.accumulate, exact for any spread, so
+    the kernels' own running sum is checked against an independent route.
     """
     s = as_finite_vector(s, "logits")
     c = s.shape[0]
@@ -674,10 +675,10 @@ def pld_gradient_closed_form(s, pi, alpha) -> np.ndarray:
     if (w < 0).any() or not np.isfinite(w).all():
         raise ValueError("weights must be finite and nonnegative")
     s_perm = s[pi]
-    suffix = log_cumsum_exp(s_perm[::-1])[::-1]
+    suffix = np.logaddexp.accumulate(s_perm[::-1])[::-1]
     with np.errstate(divide="ignore"):
         log_ratio = np.log(w) - suffix
-    log_accum = log_cumsum_exp(log_ratio)
+    log_accum = np.logaddexp.accumulate(log_ratio)
     grad_perm = np.exp(s_perm + log_accum) - w
     grad = np.empty(c)
     grad[pi] = grad_perm

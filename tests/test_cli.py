@@ -585,8 +585,9 @@ class TestSeedFlag:
 
 
 # Type-correct extremes for the fuzzer below.  No size lies between 1e8 and
-# 1e9 elements, which might actually be allocated: 2**62 fails at once.
-_EXTREMES = {int: [0, -1, 2**62], float: [0, -1, 2**62, 1e308, 5e-324]}
+# 1e9 elements, which might actually be allocated: 2**62 fails at once, and
+# 2**64 is beyond numpy's index type.
+_EXTREMES = {int: [0, -1, 2**62, 2**64], float: [0, -1, 2**62, 1e308, 5e-324]}
 
 
 def _fields(doc, path=()):
@@ -643,14 +644,27 @@ def tiny_teacher(tmp_path_factory):
     ("bench", {"sizes": [[2**62, 10]]}),
     ("train-teacher", {"layer_sizes": [16, 10**17, 10]}),
     ("distill", {"layer_sizes": [16, 10**17, 10]}),
+    # at or beyond 2**63, numpy's index type: numpy raises "Maximum allowed ..."
+    ("train-teacher", {"layer_sizes": [16, 10**30, 10]}),
+    ("distill", {"layer_sizes": [16, 2**63, 10]}),
+    ("gradcheck", {"class_counts": [10**30]}),
+    ("gradcheck", {"batch_sizes": [2**64]}),
+    ("bench", {"sizes": [[10**30, 2]]}),
+    ("landscape", {"n_classes": 2**64}),
+    ("landscape", {"resolution": 2**64}),
+    ("landscape", {"resolution": 2**63 - 1}),  # np.linspace would index an empty grid
 ], ids=["landscape", "gradcheck", "bench", "train-teacher", "distill",
         "landscape-classes-too-big", "landscape-resolution-too-big", "gradcheck-too-big",
-        "bench-too-big", "train-teacher-too-big", "distill-too-big"])
+        "bench-too-big", "train-teacher-too-big", "distill-too-big",
+        "train-teacher-beyond-index", "distill-beyond-index", "gradcheck-classes-beyond-index",
+        "gradcheck-batch-beyond-index", "bench-beyond-index", "landscape-classes-beyond-index",
+        "landscape-resolution-beyond-index", "landscape-resolution-int64-max"])
 def test_size_beyond_memory_is_usage_error(tmp_path, capsys, tiny_teacher, command, doc):
     """Each config fails at its first allocation, of 1e17 floats or more (711
     PiB, beyond any address space), or of more than numpy's largest array,
-    which numpy refuses before allocating: exit 2 with a one-line message, and
-    the output directory stays empty, since main writes only after the run."""
+    which numpy refuses before allocating, or at a size numpy cannot index:
+    exit 2 with a one-line message, and the output directory stays empty,
+    since main writes only after the run."""
     if command == "distill":
         doc = {**doc, "teacher": tiny_teacher}
     cfg = write_config(tmp_path, "c.json", doc)
@@ -665,6 +679,7 @@ def test_size_beyond_memory_is_usage_error(tmp_path, capsys, tiny_teacher, comma
 @given(case=fuzzed_configs())
 @example(case=("train-teacher", {"dataset": {"spread": 1e308}}))  # features overflow float64
 @example(case=("landscape", {"span": 1.5e308}))  # its grid would overflow to inf
+@example(case=("train-teacher", {"dataset": {"train_per_class": 2**64}}))  # beyond C's long
 def test_argument_step_returns_kwargs_or_config_error(tiny_teacher, case):
     """Every well-typed config either validates or is a usage error (exit 2)
     before anything is written; no other exception and no numpy warning.  A

@@ -312,16 +312,19 @@ def small_setup():
 
 class TestDistillStudent:
     def test_ce_kind_matches_plain_training(self, small_setup):
+        """Both entry points share one seeded run: ce distillation gives the
+        teacher run's parameter bytes and epoch columns, plus a teacher_kl."""
         ds, teacher = small_setup
         run = distill_student(
             ds, teacher, [4, 8, 4], default_loss_config("ce"), epochs=4, seed=3, batch_size=32
         )
         model, records = train_teacher(ds, [4, 8, 4], epochs=4, seed=3, batch_size=32)
-        for a, b in zip(run.records, records):
-            assert a.train_loss == pytest.approx(b.train_loss, abs=1e-12)
-            assert a.test_top1 == b.test_top1
-        for wa, wb in zip(run.model.weights, model.weights):
-            np.testing.assert_array_equal(wa, wb)
+        assert run.model.params.tobytes() == model.params.tobytes()
+        assert [(r.train_loss, r.test_top1) for r in run.records] == [
+            (r.train_loss, r.test_top1) for r in records
+        ]
+        assert all(r.teacher_kl is None for r in records)
+        assert all(type(r.teacher_kl) is float for r in run.records)
 
     def test_pld_onehot_first_reproduces_ce_trajectory(self, small_setup):
         ds, teacher = small_setup

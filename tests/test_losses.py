@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pldlab.losses as losses
+import pldlab.numerics as numerics
 from pldlab.losses import (
     DIVERGENCES,
     DistillLossConfig,
@@ -708,6 +709,25 @@ class TestPldClosedFormGradient:
                 g_closed = pld_gradient_closed_form(s[0], pi, w)
                 g_batch = pld_loss(s, t, y, scheme=scheme).grad[0]
                 np.testing.assert_allclose(g_closed, g_batch, atol=1e-10)
+
+    def test_running_sums_do_not_share_the_kernels_route(self, monkeypatch):
+        """The reference takes no running sum through _log_cumsum_exp_rows, so
+        a defect there cannot pass on both sides of the kernel check."""
+        calls = []
+        real = numerics._log_cumsum_exp_rows
+
+        def spy(x):
+            calls.append(x.shape)
+            return real(x)
+
+        monkeypatch.setattr(numerics, "_log_cumsum_exp_rows", spy)
+        monkeypatch.setattr(losses, "_log_cumsum_exp_rows", spy)
+        s, t, y = random_batch(make_rng(46), 1, 8)
+        pi = teacher_optimal_permutation(t[0], y[0])
+        pld_gradient_closed_form(s[0], pi, make_weights(t[0], pi, "teacher-softmax", 1.0))
+        assert calls == []
+        pld_loss(s, t, y)  # the kernel's own running sums pass the spy
+        assert calls
 
 
 class TestStandardize:
