@@ -61,6 +61,9 @@ def make_blobs(
     centers = rng.standard_normal((n_classes, dim))
 
     def split(per_class):
+        rows = n_classes * per_class
+        if rows >= 2**60:  # 2**63 bytes of labels; near 2**63 np.repeat's length overflows
+            raise MemoryError(f"a split of {rows} rows is beyond numpy's largest array")
         labels = np.repeat(np.arange(n_classes), per_class)
         with np.errstate(over="ignore"):  # an overflowing spread is refused below
             feats = centers[labels] + spread * rng.standard_normal((labels.shape[0], dim))

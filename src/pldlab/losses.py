@@ -14,8 +14,10 @@ the result holds one loss, gradient and set of rows per batch, so a stack
 is that many independent batches scored in one call.  ``grad_check``
 scores its perturbed copies of a batch this way.
 
-Each kernel checks its own arguments and raises ValueError on a malformed
-one; ``evaluate_loss`` leaves its arrays to the kernel and ``standardize_rows``.
+Each kernel checks its own arguments, each input array once, and raises
+ValueError on a malformed one; the cross-entropy term of kd, dist and ls and
+every softmax inside a kernel run on the arrays already checked.
+``evaluate_loss`` leaves its arrays to the kernel and ``standardize_rows``.
 
 Loss family:
 
@@ -42,11 +44,12 @@ from .numerics import (
     _EXP_FLOOR,
     _log_cumsum_exp_rows,
     _row_starts,
+    _softmax_parts,
     as_finite_matrix,
     as_finite_vector,
     as_labels,
     log_softmax,
-    softmax,
+    softmax,  # unused here, but perfbench's trace wraps it under this name
 )
 from .ranking import as_ranking, ascending_rankings
 
@@ -222,14 +225,21 @@ def _inputs(s_batch, t_batch, labels, teacher: bool = True):
 def ce_loss(s_batch, labels, *, grad: bool = True) -> LossResult:
     """Cross-entropy on hard labels: mean of log-sum-exp(s) - s_y."""
     s, _, y = _inputs(s_batch, None, labels, teacher=False)
+    return _ce(s, y, grad)
+
+
+def _ce(s, y, grad: bool, parts=None) -> LossResult:
+    """ce_loss on a checked student stack and labels; ``parts`` is the
+    _softmax_parts(s) its caller already took, whose z it turns into log q."""
     n = s.shape[-2]
-    logq = log_softmax(s)
+    logq, total = (_softmax_parts(s) if parts is None else parts)[::2]
+    logq -= np.log(total)
     picked = logq[..., np.arange(n), y]
     with np.errstate(over="ignore"):  # a batch sum beyond the float64 range is +inf
         loss = -(picked.sum(axis=-1) / n)  # the bits of -picked.mean(axis=-1), with less overhead
     if not grad:
         return LossResult(_per_batch(loss), None, -picked)
-    g = np.exp(logq)
+    g = np.exp(logq, out=logq)
     g[..., np.arange(n), y] -= 1.0
     g /= n
     return LossResult(_per_batch(loss), g, -picked)
@@ -242,7 +252,7 @@ def ls_loss(s_batch, labels, epsilon: float, *, grad: bool = True) -> LossResult
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     s, _, y = _inputs(s_batch, None, labels, teacher=False)
     if epsilon == 0.0:
-        return ce_loss(s, y, grad=grad)
+        return _ce(s, y, grad)
     n, c = s.shape[-2:]
     g = np.full(s.shape, -epsilon / c / n) if grad else None  # eps * (onehot - 1/C) / n
     if grad:
@@ -253,11 +263,11 @@ def ls_loss(s_batch, labels, epsilon: float, *, grad: bool = True) -> LossResult
     return _plus_ce(s, y, 1.0, loss, g, rows)
 
 
-def _plus_ce(s, y, alpha: float, loss, grad, rows) -> LossResult:
+def _plus_ce(s, y, alpha: float, loss, grad, rows, parts=None) -> LossResult:
     """alpha * CE plus a soft term's loss, gradient (added to in place, or None) and rows;
-    0 skips CE."""
+    0 skips CE.  ``parts`` is handed to _ce."""
     if alpha > 0:
-        hard = ce_loss(s, y, grad=grad is not None)
+        hard = _ce(s, y, grad is not None, parts)
         with np.errstate(over="ignore"):  # a soft term beyond the float64 range is +inf
             loss = alpha * hard.loss + loss
             if grad is not None:
@@ -267,8 +277,9 @@ def _plus_ce(s, y, alpha: float, loss, grad, rows) -> LossResult:
 
 
 def _kd_targets(t: np.ndarray, tau: float):
-    """kd's teacher side of an N x C batch: tempered log-probabilities and probabilities."""
-    logp = log_softmax(t, temperature=tau)
+    """kd's teacher side of a checked N x C batch: tempered log-probabilities and probabilities."""
+    logp, total = _softmax_parts(t, tau)[::2]
+    logp -= np.log(total)
     return logp, np.exp(logp)
 
 
@@ -323,8 +334,9 @@ def kd_loss(
     n = s.shape[-2]
 
     if alpha == 1.0:
-        return ce_loss(s, y, grad=grad)
-    logq = log_softmax(s, temperature=tau)
+        return _ce(s, y, grad)
+    logq, total = _softmax_parts(s, tau)[::2]
+    logq -= np.log(total)
 
     dgrad = None
     if divergence == "forward-kl":
@@ -419,9 +431,10 @@ def _pearson_terms(x: np.ndarray, rc: np.ndarray, b: np.ndarray, axis: int, grad
 
 
 def _dist_targets(t: np.ndarray, tau: float):
-    """dist's teacher side of an N x C batch: tempered probabilities, each
-    row centred, and the rows' squared norms (N x 1)."""
-    qt = softmax(t, temperature=tau)
+    """dist's teacher side of a checked N x C batch: tempered probabilities,
+    each row centred, and the rows' squared norms (N x 1)."""
+    _, qt, total = _softmax_parts(t, tau)
+    qt /= total
     rc = qt - qt.mean(axis=-1, keepdims=True)
     return qt, rc, (rc * rc).sum(axis=-1, keepdims=True)
 
@@ -443,7 +456,8 @@ def dist_loss(
     ``beta`` weights the inter-class term (one minus Pearson correlation
     between each student and teacher probability row) and ``gamma`` the
     intra-class term (the same across the batch for each class column),
-    both on probabilities softened by ``tau``; _plus_ce adds ``alpha`` * CE.
+    both on probabilities softened by ``tau``; _plus_ce adds ``alpha`` * CE,
+    which at ``tau == 1`` reuses the student's softmax parts.
     The intra-class term couples the rows, so with ``gamma > 0`` the
     result carries no per-row losses.  Given ``targets`` (teacher_targets
     rows, shared by every batch of a stack), t_batch is unread.
@@ -463,7 +477,8 @@ def dist_loss(
     else:
         qt, rc, b = _given_targets(targets, [(n, c), (n, c), (n, 1)], "dist")
 
-    qs = softmax(s, temperature=tau)
+    _, qs, total = parts = _softmax_parts(s, tau)
+    qs /= total  # CE at tau 1 reads only the parts' z and S
 
     loss = np.zeros(s.shape[:-2])[()]  # one loss per batch of a stack, even at weights 0
     rows = np.zeros(s.shape[:-1])
@@ -482,7 +497,8 @@ def dist_loss(
         if grad:
             dq += np.multiply(dintra, gamma, out=dintra)
 
-    return _plus_ce(s, y, alpha, loss, _softmax_pullback(qs, dq, tau) if grad else None, rows)
+    return _plus_ce(s, y, alpha, loss, _softmax_pullback(qs, dq, tau) if grad else None, rows,
+                    parts if tau == 1.0 else None)
 
 
 def _plistmle_weights(n_classes: int) -> np.ndarray:
@@ -513,10 +529,12 @@ def make_weights(t, pi, scheme: str, tau_T: float = 1.0) -> np.ndarray:
 
 
 def _ascending_weights(t: np.ndarray, asc: np.ndarray, scheme: str, tau_T: float) -> np.ndarray:
-    """Weights aligned with the ascending evaluation order (first pick last)."""
+    """Weights aligned with the ascending evaluation order (first pick last), for checked t."""
     n, c = t.shape
     if scheme == "teacher-softmax":
-        return softmax(t, temperature=tau_T).reshape(-1)[asc + _row_starts(asc.shape)]
+        _, e, total = _softmax_parts(t, tau_T)
+        e /= total
+        return e.reshape(-1)[asc + _row_starts(asc.shape)]
     if scheme == "uniform":
         return np.full((n, c), 1.0 / c)
     if scheme == "onehot-first":

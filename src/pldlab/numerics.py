@@ -89,20 +89,27 @@ def as_labels(labels, n_classes: int, n_rows: int | None = None) -> np.ndarray:
     return arr
 
 
-def _shifted(v, temperature: float, name: str) -> np.ndarray:
-    """v / temperature minus its row max, once both are checked.  Entries of
+def _softmax_parts(v, temperature: float = 1.0, name: str | None = None):
+    """The core of softmax and log_softmax: z = v / temperature minus its row
+    max, e = exp(z) and e's row sums S, so softmax is e / S and log_softmax
+    z - log S.  ``name`` scans v for non-finite entries after the temperature
+    check; None skips that scan for an array the caller checked.  Entries of
     a row wider than the float64 range go to -inf (probability 0) silently; a
     row whose scaled max overflows (temperature < 1) is shifted before the divide."""
     if not (np.isfinite(temperature) and temperature > 0):
         raise ValueError(f"temperature must be positive, got {temperature}")
-    arr = _finite(np.asarray(v, dtype=np.float64), name)
+    arr = np.asarray(v, dtype=np.float64)
+    if name is not None:
+        _finite(arr, name)
     with np.errstate(over="ignore"):
         z = arr if temperature == 1.0 else arr / temperature
         m = z.max(axis=-1, keepdims=True)
         if temperature < 1.0 and np.isinf(m).any():  # v / temperature overflowed
             z = np.where(np.isinf(m), (arr - arr.max(axis=-1, keepdims=True)) / temperature, z)
             m[np.isinf(m)] = 0.0
-        return z - m
+        z = z - m
+    e = np.exp(z)
+    return z, e, e.sum(axis=-1, keepdims=True)
 
 
 def softmax(v, temperature: float = 1.0) -> np.ndarray:
@@ -112,16 +119,16 @@ def softmax(v, temperature: float = 1.0) -> np.ndarray:
     Output rows are nonnegative and sum to 1 (entries more than ~745 nats
     below the row max underflow to exactly 0).
     """
-    e = np.exp(_shifted(v, temperature, "softmax input"))
-    e /= e.sum(axis=-1, keepdims=True)
+    _, e, total = _softmax_parts(v, temperature, "softmax input")
+    e /= total
     return e
 
 
 def log_softmax(v, temperature: float = 1.0) -> np.ndarray:
     """log(softmax(v / temperature)) of each row; never produces -inf from
     underflow alone."""
-    z = _shifted(v, temperature, "log_softmax input")
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z, _, total = _softmax_parts(v, temperature, "log_softmax input")
+    return z - np.log(total)
 
 
 def log_sum_exp(v) -> float:

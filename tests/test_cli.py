@@ -653,22 +653,28 @@ def tiny_teacher(tmp_path_factory):
     ("landscape", {"n_classes": 2**64}),
     ("landscape", {"resolution": 2**64}),
     ("landscape", {"resolution": 2**63 - 1}),  # np.linspace would index an empty grid
+    # np.repeat's label count would overflow, refused in the argument step
+    ("train-teacher", {"dataset": {"train_per_class": 2**63 - 1}}),
+    ("distill", {"dataset": {"train_per_class": 2**63 - 1}}),
 ], ids=["landscape", "gradcheck", "bench", "train-teacher", "distill",
         "landscape-classes-too-big", "landscape-resolution-too-big", "gradcheck-too-big",
         "bench-too-big", "train-teacher-too-big", "distill-too-big",
         "train-teacher-beyond-index", "distill-beyond-index", "gradcheck-classes-beyond-index",
         "gradcheck-batch-beyond-index", "bench-beyond-index", "landscape-classes-beyond-index",
-        "landscape-resolution-beyond-index", "landscape-resolution-int64-max"])
+        "landscape-resolution-beyond-index", "landscape-resolution-int64-max",
+        "train-teacher-rows-int64-max", "distill-rows-int64-max"])
 def test_size_beyond_memory_is_usage_error(tmp_path, capsys, tiny_teacher, command, doc):
     """Each config fails at its first allocation, of 1e17 floats or more (711
     PiB, beyond any address space), or of more than numpy's largest array,
     which numpy refuses before allocating, or at a size numpy cannot index:
     exit 2 with a one-line message, and the output directory stays empty,
-    since main writes only after the run."""
+    since main writes only after the run (the dataset rows fail in the
+    argument step, before main makes the directory, so it is made here)."""
     if command == "distill":
         doc = {**doc, "teacher": tiny_teacher}
     cfg = write_config(tmp_path, "c.json", doc)
     out = tmp_path / "o"
+    out.mkdir()
     assert run([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
@@ -682,14 +688,15 @@ def test_size_beyond_memory_is_usage_error(tmp_path, capsys, tiny_teacher, comma
 @example(case=("train-teacher", {"dataset": {"train_per_class": 2**64}}))  # beyond C's long
 def test_argument_step_returns_kwargs_or_config_error(tiny_teacher, case):
     """Every well-typed config either validates or is a usage error (exit 2)
-    before anything is written; no other exception and no numpy warning.  A
+    before anything is written: a config error, or a MemoryError for a size
+    beyond numpy's largest array; no other exception and no numpy warning.  A
     rejected config also exits 2 through main, into a directory left empty."""
     command, doc = case
     if command == "distill":
         doc["teacher"] = tiny_teacher  # an unreadable teacher exits 5 by design
     try:
         kwargs = cli._COMMANDS[command][0](cli._merge(cli._DEFAULTS[command], doc))
-    except cli.ConfigError:
+    except (cli.ConfigError, MemoryError):
         with tempfile.TemporaryDirectory() as tmp:
             cfg, out = os.path.join(tmp, "c.json"), os.path.join(tmp, "o")
             with open(cfg, "w") as f:

@@ -195,16 +195,16 @@ class TestKnowledgeDistillation:
         loss, gradient and rows, without a warning, also on rows whose
         divergence is +inf: reverse KL against a teacher class of probability
         0, and forward KL on a student row about 1e308 wide at tau 0.5.  With
-        the teacher given as targets, the only log-softmax taken is ce's."""
+        the teacher given as targets, the only softmax core taken is ce's, untempered."""
         rng = make_rng(31)
         s, t, y = random_batch(rng, 4, 3)
         s[1], t[1] = [0.0, 0.0, 0.0], [0.0, 0.0, -1e308]
         s[2], t[2] = [1e308, 0.0, -1e308 + 1e307], [0.0, 0.0, 0.0]
         targets = teacher_targets(default_loss_config("kd", kd_temperature=0.5), t, y)
         calls = []
-        real = losses.log_softmax
-        monkeypatch.setattr(losses, "log_softmax",
-                            lambda *a, **kw: calls.append(kw) or real(*a, **kw))
+        real = losses._softmax_parts
+        monkeypatch.setattr(losses, "_softmax_parts",
+                            lambda *a, **kw: calls.append((a[1:], kw)) or real(*a, **kw))
         for batch in (s, np.stack([s, -s])):
             for t_in, kw in ((t, {}), (None, {"targets": targets})):
                 calls.clear()
@@ -212,7 +212,7 @@ class TestKnowledgeDistillation:
                     warnings.simplefilter("error")
                     res = kd_loss(batch, t_in, y, alpha=1.0, tau=0.5, divergence=divergence, **kw)
                 if kw:
-                    assert calls == [{}]
+                    assert calls == [((), {})]
                 ce = ce_loss(batch, y)
                 for got, want in zip((res.loss, res.grad, res.rows), (ce.loss, ce.grad, ce.rows)):
                     assert type(got) is type(want)
@@ -220,10 +220,10 @@ class TestKnowledgeDistillation:
 
     def test_ce_weight_zero_never_evaluates_ce(self, monkeypatch):
         """kd (every divergence, the wide forward-KL rows included) and dist (with
-        and without the intra-class term) at alpha 0 call ce_loss zero times."""
+        and without the intra-class term) at alpha 0 call the CE core zero times."""
         calls = []
-        real = losses.ce_loss
-        monkeypatch.setattr(losses, "ce_loss", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        real = losses._ce
+        monkeypatch.setattr(losses, "_ce", lambda *a, **kw: calls.append(a) or real(*a, **kw))
         rng = make_rng(32)
         s, t, y = random_batch(rng, 4, 5)
         s[0] = [1e308, 0.0, -5e307, 1.0, 2.0]
@@ -388,6 +388,31 @@ class TestDistLoss:
         with pytest.raises(ValueError):
             dist_loss([[0.0, 1.0]], [[0.0, 1.0]], [0], gamma=0.5)
         dist_loss([[0.0, 1.0]], [[0.0, 1.0]], [0], gamma=0.0)  # fine
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), c=st.integers(2, 10),
+           stack=st.integers(0, 3), alpha=st.sampled_from([0.1, 0.5, 1.0]),
+           gamma=st.sampled_from([0.0, 0.45]), tau=st.sampled_from([1.0, 0.5, 2.0]),
+           scale=st.sampled_from([1.0, 300.0]), grad=st.booleans())
+    def test_ce_term_is_alpha_times_ce_loss(self, seed, n, c, stack, alpha, gamma, tau, scale,
+                                            grad):
+        """dist at alpha > 0 is, bit for bit, alpha * ce_loss added to dist at
+        alpha 0 in _plus_ce's order, also at tau 1, where CE reuses dist's
+        student softmax; on a batch or a stack, with or without the gradient."""
+        rng = make_rng(seed)
+        s, t, y = random_batch(rng, n, c, scale)
+        if stack:
+            s = np.stack([s + rng.normal(size=(n, c)) for _ in range(stack)])
+        got = dist_loss(s, t, y, alpha, 0.45, gamma, tau, grad=grad)
+        soft = dist_loss(s, t, y, 0.0, 0.45, gamma, tau, grad=grad)
+        hard = ce_loss(s, y, grad=grad)
+        want = [alpha * hard.loss + soft.loss,
+                soft.grad + hard.grad * alpha if grad else None,
+                None if gamma > 0 else alpha * hard.rows + soft.rows]
+        assert type(got.loss) is type(soft.loss)
+        for part, expected in zip((got.loss, got.grad, got.rows), want):
+            assert (part is None) == (expected is None)
+            assert np.asarray(part).tobytes() == np.asarray(expected).tobytes()
 
 
 class TestMakeWeights:
@@ -1372,3 +1397,26 @@ def test_value_only_call_keeps_the_loss_and_rows_bits(path, data):
     if full.rows is not None:
         assert value.rows.shape == full.rows.shape
         assert value.rows.tobytes() == full.rows.tobytes()
+
+
+@pytest.mark.parametrize("kind, given_targets", [
+    ("ls", False), ("kd", False), ("kd", True), ("dist", False), ("dist", True),
+    ("pld", False), ("pld", True),
+])
+def test_each_input_array_is_scanned_once(kind, given_targets, monkeypatch):
+    """A kernel call scans the student stack and, without given targets, the
+    teacher batch for non-finite entries once each: its cross-entropy term and
+    softmaxes run on the checked arrays."""
+    rng = make_rng(41)
+    s, t, y = random_batch(rng, 4, 6)
+    cfg = default_loss_config(kind)
+    targets = teacher_targets(cfg, t, y) if given_targets else None
+    scanned = []
+    real = numerics._finite
+    monkeypatch.setattr(numerics, "_finite", lambda arr, name: scanned.append(name) or real(arr, name))
+    for batch in (s, np.stack([s, -s])):
+        scanned.clear()
+        evaluate_loss(cfg, batch, None if given_targets else t, y, targets=targets)
+        want = ["student logits"] if given_targets or kind == "ls" else [
+            "student logits", "teacher logits"]
+        assert scanned == want
