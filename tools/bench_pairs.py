@@ -4,12 +4,11 @@
 
 Each tree is a checkout holding ``src/``, ``perfbench/`` and ``BENCHMARK.json``.
 For every workload of the change's ``BENCHMARK.json`` the script runs
-``perfbench/run.py --trace 0`` on both trees, ``--pairs`` times, seed by seed;
-pair k runs the parent first when k is even, so a drift in host speed hits
-both sides alike.  One traced ``verify`` run per side follows, parent first.
-Each finished run is appended to ``--log`` as one JSON line, so an
-interrupted session can be summarized with ``--summarize-only`` from the runs
-it has.  The summary gives, per workload and end-to-end metric, each side's
+``perfbench/run.py --trace 0`` on both trees for that file's ``run_seconds``,
+in 10 pairs on seeds from 1000 * N; pair k runs the parent first when k is
+even, so a drift in host speed hits both sides alike.  One traced ``verify``
+run per side follows, parent first.  Each finished run is written to
+``--log`` as one JSON line.  The summary gives, per workload and end-to-end metric, each side's
 median and quartiles (numpy's linear percentiles), the pairs the change won,
 the relative change of the median and whether it is within the metric's bound.
 """
@@ -26,6 +25,7 @@ import numpy as np
 
 SIDES = ("parent", "change")
 TRACED_WORKLOAD = "verify"
+PAIRS = 10
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -115,13 +115,9 @@ def parse_args(argv):
     p.add_argument("change_tree", type=Path)
     p.add_argument("--pr", type=int, required=True, help="names the output, BENCH_<pr>.json in the working directory")
     p.add_argument("--log", type=Path, required=True, help="JSON lines, one per finished run")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=58.0)
-    p.add_argument("--seed-base", type=int, default=None, help="default: 1000 * pr")
     p.add_argument("--claim", default=None, help="METRIC or METRIC@WORKLOAD (default verify)")
     p.add_argument("--change", default="", help="one line on what the change does")
     p.add_argument("--note", action="append", default=[], help="a note line (repeatable)")
-    p.add_argument("--summarize-only", action="store_true", help="summarize --log, run nothing")
     return p.parse_args(argv)
 
 
@@ -129,27 +125,26 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((args.change_tree / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
-    seed_base = 1000 * args.pr if args.seed_base is None else args.seed_base
-    if not args.summarize_only:
-        with args.log.open("a") as log:
-            for workload, k, side, seed, trace in schedule(workloads, args.pairs, seed_base):
-                tree = args.parent_tree if side == "parent" else args.change_tree
-                run = run_once(tree, workload, seed, args.seconds, trace)
-                line = {"workload": workload, "pair": k, "side": side, "seed": seed,
-                        "trace": trace, **run}
-                log.write(json.dumps(line) + "\n")
-                log.flush()
-                print(f"{workload} pair {k} {side} seed {seed} trace {trace}: "
-                      f"correct {run['result']['correct']}", file=sys.stderr)
-    lines = [json.loads(line) for line in args.log.read_text().splitlines() if line.strip()]
+    seconds = bench["run_seconds"]
+    lines = []
+    with args.log.open("w") as log:
+        for workload, k, side, seed, trace in schedule(workloads, PAIRS, 1000 * args.pr):
+            tree = args.parent_tree if side == "parent" else args.change_tree
+            run = run_once(tree, workload, seed, seconds, trace)
+            lines.append({"workload": workload, "pair": k, "side": side, "seed": seed,
+                          "trace": trace, **run})
+            log.write(json.dumps(lines[-1]) + "\n")
+            log.flush()
+            print(f"{workload} pair {k} {side} seed {seed} trace {trace}: "
+                  f"correct {run['result']['correct']}", file=sys.stderr)
     summary = summarize(lines, bench["end_to_end"])
     doc = {
         "change": args.change,
         "command": f"python3 perfbench/run.py --workload {{{','.join(workloads)}}} --seed N "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "method": (f"alternating parent/change pairs (pair k runs the parent first when k is "
                    f"even), each side from its own tree, by tools/bench_pairs.py: "
-                   f"{args.pairs} pairs per workload in the order {', '.join(workloads)}, "
+                   f"{PAIRS} pairs per workload in the order {', '.join(workloads)}, "
                    f"then one traced {TRACED_WORKLOAD} run per side (parent first). q1/q3 are "
                    f"numpy's linear-interpolation percentiles of each side's runs."),
         "host": lines[0]["host"] if lines else {},
