@@ -341,6 +341,8 @@ def _gradcheck_args(config: dict) -> dict:
         raise ConfigError("step must be positive")
     if not config["floor"] >= 0:
         raise ConfigError("floor must be nonnegative")
+    if not config["threshold"] >= 0:  # a relative error is never below 0
+        raise ConfigError("threshold must be nonnegative")
     sizes = [(n, c) for c in config["class_counts"] for n in config["batch_sizes"]]
     if not sizes:
         raise ConfigError("class_counts and batch_sizes must be nonempty")

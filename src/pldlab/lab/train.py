@@ -122,6 +122,8 @@ def train_teacher(
         raise ValueError(
             f"output width {layer_sizes[-1]} != {dataset.n_classes} classes"
         )
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
 
     def loss_fn(logits, idx, yb):
         return ce_loss(logits, yb)
@@ -193,6 +195,8 @@ def check_distill(
         )
     if teacher.in_dim != dataset.dim:
         raise ValueError(f"teacher input width {teacher.in_dim} != data dim {dataset.dim}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     n = dataset.train_features.shape[0]
     if (n % batch_size or batch_size) < loss_cfg.min_batch_rows:  # the smallest batch
         raise ValueError(

@@ -6,9 +6,10 @@ logits s(a, b) = t + a*d1 + b*d2 over a square grid.  The label for
 label-dependent losses is argmax(t) (first index on ties), which makes the
 teacher-optimal ranking exactly the descending sort of t.
 
-Conventions for the baselines on the slice: kd and dist are evaluated as
-pure distillation terms (no cross-entropy mix), and dist treats each grid
-point as a batch of one row, so only its inter-class term is active.
+Each value is ``evaluate_loss`` under the slice config at temperature T,
+``DistillLossConfig(kind, ce_mix=0, kd_temperature=T, teacher_temperature=T,
+dist_beta=1, dist_gamma=0)``: kd and dist are pure distillation terms, and dist,
+on a grid point as a batch of one row, keeps its inter-class term alone.
 
 Every loss on the slice is row-separable, so a whole (loss, temperature)
 grid is one kernel call on a stack of one-row batches, one per grid point,
@@ -25,7 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .lab.io import atomic_write_text
-from .losses import _tau_squared, ce_loss, dist_loss, kd_loss, pld_loss
+from .losses import DistillLossConfig, _tau_squared, evaluate_loss
+from .losses import ce_loss, dist_loss, kd_loss, pld_loss  # unused; perfbench's SITES wrap them
 from .numerics import make_rng
 
 __all__ = [
@@ -121,22 +123,16 @@ def point_loss(kind: str, s: np.ndarray, t: np.ndarray, y: int, temperature: flo
 
     ``s`` is R x C (a single point of shape (C,) counts as R = 1); every row
     shares the teacher logits ``t`` and label ``y``.  Returns the R per-row
-    losses from one value-only kernel call on a stack of R one-row batches,
-    which softens or ranks the shared teacher row once.
+    losses of one value-only evaluate_loss call under the slice config at
+    ``temperature`` on a stack of R one-row batches, which softens or ranks
+    the shared teacher row once.
     """
-    s3 = np.atleast_2d(s)[:, None, :]
-    t1, y1 = np.asarray(t, dtype=np.float64)[None], [int(y)]
-    if kind == "pld":
-        res = pld_loss(s3, t1, y1, tau_T=temperature, grad=False)
-    elif kind == "kd":
-        res = kd_loss(s3, t1, y1, alpha=0.0, tau=temperature, grad=False)
-    elif kind == "dist":
-        res = dist_loss(s3, t1, y1, alpha=0.0, beta=1.0, gamma=0.0, tau=temperature, grad=False)
-    elif kind == "ce":
-        res = ce_loss(s3, y1, grad=False)
-    else:
+    if kind not in SLICE_LOSS_KINDS:
         raise ValueError(f"unsupported slice loss kind {kind!r}")
-    return res.rows[:, 0]
+    config = DistillLossConfig(kind, ce_mix=0.0, kd_temperature=temperature,
+                               teacher_temperature=temperature, dist_beta=1.0, dist_gamma=0.0)
+    t1 = np.asarray(t, dtype=np.float64)[None]
+    return evaluate_loss(config, np.atleast_2d(s)[:, None, :], t1, [int(y)], grad=False).rows[:, 0]
 
 
 def make_slice(spec: SliceSpec) -> SliceGrid:
@@ -205,19 +201,15 @@ def line_convexity_probe(
 
 
 def slice_to_csv(grid: SliceGrid) -> str:
-    """Deterministic CSV: loss kinds, then temperatures, then row-major grid.
-    Floats are written with repr; each coordinate and prefix is formatted once."""
+    """CSV of the grid's (kind, temperature) entries in order (make_slice's: kinds,
+    then temperatures), row-major; floats as repr, each coordinate and prefix formatted once."""
     lines = [SLICE_CSV_HEADER]
     alphas = [repr(a) for a in grid.alphas.tolist()]
     betas = [repr(b) for b in grid.betas.tolist()]
-    for kind in grid.spec.loss_kinds:
-        for temp in grid.spec.temperatures:
-            key = (kind, float(temp))
-            if key not in grid.values:
-                continue
-            tail = f",{kind},{float(temp)!r},"
-            for a, row in zip(alphas, grid.values[key].tolist()):
-                lines.extend(f"{a},{b}{tail}{v!r}" for b, v in zip(betas, row))
+    for (kind, temp), values in grid.values.items():
+        tail = f",{kind},{float(temp)!r},"
+        for a, row in zip(alphas, values.tolist()):
+            lines.extend(f"{a},{b}{tail}{v!r}" for b, v in zip(betas, row))
     return "\n".join(lines) + "\n"
 
 

@@ -137,8 +137,8 @@ class DistillLossConfig:
         if not 0.0 <= self.ce_mix <= 1.0:
             raise ValueError("ce_mix must lie in [0, 1]")
         _tau_squared(self.kd_temperature, "kd_temperature")
-        if not self.teacher_temperature > 0:
-            raise ValueError("teacher_temperature must be positive")
+        if not 0 < self.teacher_temperature < np.inf:
+            raise ValueError("teacher_temperature must be positive and finite")
         if not (self.dist_beta >= 0 and self.dist_gamma >= 0):
             raise ValueError("dist_beta and dist_gamma must be nonnegative")
         if not 0.0 <= self.ls_epsilon < 1.0:
@@ -325,12 +325,9 @@ def kd_loss(
     if divergence not in DIVERGENCES:
         raise ValueError(f"unknown divergence {divergence!r}")
     tau2 = _tau_squared(tau)
-    if targets is None:
-        s, t, y = _inputs(s_batch, t_batch, labels)
-        logp, p = _kd_targets(t, tau)
-    else:
-        s, _, y = _inputs(s_batch, None, labels, teacher=False)
-        logp, p = _given_targets(targets, 2 * [s.shape[-2:]], "kd")
+    s, t, y = _inputs(s_batch, t_batch, labels, teacher=targets is None)
+    logp, p = (_kd_targets(t, tau) if targets is None
+               else _given_targets(targets, 2 * [s.shape[-2:]], "kd"))
     n = s.shape[-2]
 
     if alpha == 1.0:
@@ -464,7 +461,7 @@ def dist_loss(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if beta < 0 or gamma < 0:
+    if not (beta >= 0 and gamma >= 0):
         raise ValueError("beta and gamma must be nonnegative")
     s, t, y = _inputs(s_batch, t_batch, labels, teacher=targets is None)
     n, c = s.shape[-2:]
@@ -578,8 +575,8 @@ def pld_loss(
     ``grad=False`` the kernel stops after the rows: no tail, no scatter.
     """
     if targets is None:
-        if not tau_T > 0:
-            raise ValueError(f"tau_T must be positive, got {tau_T}")
+        if not 0 < tau_T < np.inf:
+            raise ValueError(f"tau_T must be positive and finite, got {tau_T}")
         s, t, y = _inputs(s_batch, t_batch, labels)
         n, c = t.shape
     else:  # checked once per call: order rows permute range(C), weights finite and >= 0

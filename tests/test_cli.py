@@ -65,6 +65,16 @@ class TestLosscheck:
         assert code == EXIT_USAGE
         assert not (out / "losscheck.csv").exists()
 
+    @pytest.mark.parametrize("text", [None, "[1, 2]"], ids=["unreadable", "not-an-object"])
+    def test_unusable_config_file_is_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "c.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "o"
+        assert run(["losscheck", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_unknown_field_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"instancez": 10})
         assert run(["losscheck", "--config", cfg, "--out", str(tmp_path)]) == EXIT_USAGE
@@ -464,6 +474,10 @@ class TestInvalidValues:
             ("landscape", {"temperatures": [5e-324]}),
             ("distill", {"loss": {"kind": "kd", "kd_temperature": 1e-320}}),
             ("bench", {"sizes": [[1, 10]], "kinds": ["dist"]}),  # intra-class term needs 2 rows
+            ("gradcheck", {"threshold": -1.0}),  # a relative error is never below 0
+            ("gradcheck", {"floor": -1.0}),
+            ("distill", {"teacher": ""}),
+            ("losscheck", {"format_version": 2}),
         ],
     )
     def test_usage_error_before_anything_is_written(

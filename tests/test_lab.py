@@ -33,6 +33,7 @@ from pldlab.lab import (
     step_optimizer,
     train_teacher,
 )
+from pldlab.lab.io import atomic_write_text
 from pldlab.losses import STANDARDIZE_MODES, default_loss_config, standardize_rows
 from pldlab.numerics import make_rng
 
@@ -171,6 +172,14 @@ class TestMlp:
             forward(model, np.zeros((2, 5)))
         with pytest.raises(ValueError, match="gradient shape"):
             backward(model, np.zeros((2, 5)), forward_trace(model, np.zeros((2, 4)))[1])
+        acts = forward_trace(model, np.zeros((2, 4)))[1]
+        with pytest.raises(ValueError, match="gradient vector shape"):
+            backward(model, np.zeros((2, 3)), acts, out=np.empty(model.params.size + 1))
+
+    @pytest.mark.parametrize("sizes", [[4], [4, 0, 3]])
+    def test_invalid_layer_sizes_rejected(self, sizes):
+        with pytest.raises(ValueError, match="invalid layer sizes"):
+            init_mlp(sizes, make_rng(0))
 
 
 class TestSerialization:
@@ -199,11 +208,20 @@ class TestSerialization:
             {"format_version": 1},
             {"format_version": 1, "layer_sizes": [3, 2], "weights": [], "biases": []},
             {"format_version": 1, "layer_sizes": [1, 2], "weights": [[1, 2]], "biases": [[0]]},
+            {"format_version": 1, "layer_sizes": [1, 1], "weights": [[np.inf]], "biases": [[0]]},
         ],
     )
     def test_malformed_document_is_a_value_error(self, doc):
         with pytest.raises(ValueError):
             model_from_dict(doc)
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        """os.replace cannot put a file over a directory; the temporary copy goes."""
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "taken" / "x").write_text("")
+        with pytest.raises(OSError):
+            atomic_write_text(tmp_path / "taken", "text")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
     def test_document_shape(self, tmp_path):
         model = init_mlp([3, 4, 2], make_rng(68))
@@ -301,6 +319,24 @@ class TestTrainTeacher:
         ds = make_blobs(**SMALL, seed=14)
         with pytest.raises(ValueError):
             train_teacher(ds, [4, 8, 3], epochs=1, seed=0)
+
+
+@pytest.mark.parametrize("batch_size", [0, -4])
+@pytest.mark.parametrize("entry", ["train_teacher", "distill_student", "check_distill"])
+def test_batch_size_below_one_refused_before_any_work(monkeypatch, small_setup, entry, batch_size):
+    """A ValueError naming batch_size, before a model is built or forwarded."""
+    ds, teacher = small_setup
+    for name in ("init_mlp", "forward"):
+        monkeypatch.setattr(lab_train, name, lambda *a, **k: pytest.fail("work began"))
+    run = {
+        "train_teacher": lambda: train_teacher(ds, [4, 8, 4], epochs=1, batch_size=batch_size),
+        "distill_student": lambda: distill_student(
+            ds, teacher, [4, 8, 4], default_loss_config("pld"), epochs=1, batch_size=batch_size),
+        "check_distill": lambda: lab_train.check_distill(
+            ds, teacher, [4, 8, 4], default_loss_config("pld"), batch_size),
+    }[entry]
+    with pytest.raises(ValueError, match="batch_size must be at least 1"):
+        run()
 
 
 @pytest.fixture(scope="module")

@@ -171,6 +171,11 @@ class TestBatchedEvaluation:
         got = line_convexity_probe(kind, ALL_KINDS, trials=40, temperature=0.5, tolerance=tolerance)
         assert got == expected
 
+    def test_unsupported_kind_refused(self):
+        t = np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match="unsupported slice loss kind 'ls'"):
+            point_loss("ls", t, t, 0, 1.0)
+
 
 class TestTemperatureSweep:
     def test_four_grids_share_directions(self):

@@ -1103,6 +1103,8 @@ class TestEvaluateLossDispatch:
             dataclasses.replace(DistillLossConfig(), ce_mix=1.5)
         with pytest.raises(ValueError):
             DistillLossConfig(dist_gamma=float("nan"))
+        with pytest.raises(ValueError, match="teacher_temperature"):  # as pld_loss refuses it
+            DistillLossConfig(teacher_temperature=float("inf"))
 
 
 # -- checks at the boundary ------------------------------------------------------
@@ -1165,6 +1167,29 @@ def test_kernel_rejects_bad_temperature(kernel, tau):
     s, t, y = random_batch(rng, 3, 4)
     with pytest.raises(ValueError):
         kernel(s, t, y, tau=tau)
+
+
+S2, T2, Y1 = [[0.0, 1.0]], [[0.0, 1.0]], [0]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dist_loss(S2, T2, Y1, alpha=1.5, gamma=0.0), "alpha"),
+    (lambda: dist_loss(S2, T2, Y1, beta=-1.0, gamma=0.0), "beta and gamma"),
+    # nan > 0 is false: both terms would be skipped, leaving 0.1 * CE
+    (lambda: dist_loss(S2, T2, Y1, alpha=0.1, beta=np.nan, gamma=np.nan), "beta and gamma"),
+    (lambda: dist_loss([[0.0]], [[0.0]], Y1, gamma=0.0), "at least 2 classes"),
+    (lambda: pld_loss(S2, T2, Y1, tau_T=0.0), "tau_T"),
+    (lambda: pld_loss(S2, T2, Y1, tau_T=np.inf), "tau_T"),  # not the softmax's own refusal
+    (lambda: pld_gradient_closed_form([0.0, 1.0], [0, 1], [1.0]), "expected 2 weights"),
+    (lambda: pld_gradient_closed_form([0.0, 1.0], [0, 1], [1.5, -0.5]), "nonnegative"),
+    (lambda: grad_check(lambda x: ce_loss(x, Y1), np.zeros((1, 2)), floor=-1.0), "floor"),
+    (lambda: student_teacher_kl(np.zeros((2, 3)), np.zeros((2, 4))), "shape mismatch"),
+], ids=["dist-alpha", "dist-beta", "dist-nan-weights", "dist-one-class", "pld-tau-zero",
+        "pld-tau-inf", "closed-form-weight-count", "closed-form-weight-sign", "grad-check-floor",
+        "kl-shapes"])
+def test_out_of_range_argument_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @st.composite

@@ -87,6 +87,30 @@ def test_traced_training_runs_and_nests(tracing, monkeypatch):
     assert parents == {"lab.model.forward"}
 
 
+def test_traced_slice_scores_each_kernel_under_point_loss(tracing):
+    """Every slice kernel call is a span of its own, one per temperature,
+    whose parent is the point_loss span that made it."""
+    from pldlab import cli
+    from pldlab.landscape import SLICE_LOSS_KINDS, SliceSpec
+
+    spec = SliceSpec(n_classes=6, resolution=3, temperatures=(2.0, 0.5),
+                     loss_kinds=SLICE_LOSS_KINDS)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.run("landscape", lambda: cli.make_slice(spec))
+    finally:
+        tracer.uninstall()
+
+    stats = tracer.total_stats("landscape")
+    per_kind = len(spec.temperatures)
+    assert stats["landscape.point_loss"].calls == per_kind * len(SLICE_LOSS_KINDS)
+    for kind in SLICE_LOSS_KINDS:
+        span = f"losses.{kind}_loss"
+        assert stats[span].calls == per_kind
+        assert tracer.edges[("landscape.point_loss", span)] == per_kind
+
+
 def _dotted(node):
     """``a.b.c`` of an attribute chain on a plain name, else None."""
     parts = []
